@@ -9,10 +9,10 @@
 //     spill_to_disk in {false, true} at 16K and 1M tuples.  Both phases
 //     (sharded routing, per-region builds) parallelize; per-region spill
 //     files make the spill X parallel combination legal.
-//   * Kernel: the phase-2 kernel ablation — the Section 5.1 aggregation
-//     tree vs. the AoS endpoint-event delta sweep (PR 3) vs. the columnar
-//     SoA kernel in both dispatch modes (forced scalar and the AVX2 body,
-//     which silently equals scalar on hardware without AVX2).
+//   * Kernel: the phase-2 kernels — the Section 5.1 aggregation tree
+//     (MAX, which has no inverse) and the columnar SoA sweep (COUNT, SUM)
+//     in both dispatch modes (forced scalar and the AVX2 body, which
+//     silently equals scalar on hardware without AVX2).
 //   * SpillBytes: the compressed-spill ablation — identical spilled
 //     evaluations with the temporal-column codec on and off, reporting
 //     raw vs. encoded spill bytes and the compression ratio from the obs
@@ -127,36 +127,45 @@ void ParallelSpillArgs(benchmark::internal::Benchmark* b) {
   b->ArgsProduct({{1 << 14, 1 << 20}, workers, {0, 1}});
 }
 
-// Phase-2 kernel ablation, one family per range(1) value:
-//   0 = tree            (Section 5.1 aggregation tree)
-//   1 = sweep           (PR 3 AoS std::sort + scalar delta sweep)
-//   2 = columnar-scalar (SoA radix sort, scalar body forced)
-//   3 = columnar-simd   (SoA radix sort, AVX2 body via runtime dispatch;
+// Phase-2 kernels, one family per range(1) value.  The kernel follows
+// from the aggregate, picked by range(2) (0 = COUNT, 1 = SUM, 2 = MAX):
+//   0 = tree            (Section 5.1 aggregation tree; MAX)
+//   1 = columnar-scalar (SoA radix sort, scalar body forced; COUNT, SUM)
+//   2 = columnar-simd   (SoA radix sort, AVX2 body via runtime dispatch;
 //                        identical to columnar-scalar on non-AVX2 hosts)
 struct KernelFamily {
-  PartitionKernel kernel;
   bool force_scalar;
   const char* name;
 };
 
 const KernelFamily kKernelFamilies[] = {
-    {PartitionKernel::kTree, false, "tree"},
-    {PartitionKernel::kSweep, false, "sweep"},
-    {PartitionKernel::kColumnar, true, "columnar-scalar"},
-    {PartitionKernel::kColumnar, false, "columnar-simd"},
+    {false, "tree"},
+    {true, "columnar-scalar"},
+    {false, "columnar-simd"},
 };
+
+constexpr AggregateKind kKernelAggregates[] = {
+    AggregateKind::kCount, AggregateKind::kSum, AggregateKind::kMax};
+
+void KernelArgs(benchmark::internal::Benchmark* b) {
+  for (int64_t n : {1 << 14, 1 << 20}) {
+    b->Args({n, 0, 2});
+    for (int64_t family : {1, 2}) {
+      for (int64_t aggregate : {0, 1}) b->Args({n, family, aggregate});
+    }
+  }
+}
 
 void BM_Partitioned_Kernel(benchmark::State& state) {
   const auto n = static_cast<size_t>(state.range(0));
   const KernelFamily& family =
       kKernelFamilies[static_cast<size_t>(state.range(1))];
-  const AggregateKind kind = state.range(2) != 0 ? AggregateKind::kSum
-                                                 : AggregateKind::kCount;
+  const AggregateKind kind =
+      kKernelAggregates[static_cast<size_t>(state.range(2))];
   const Relation& relation = CachedWorkload(n, 0.0);
   for (auto _ : state) {
     PartitionedOptions options;
     options.partitions = 64;
-    options.kernel = family.kernel;
     options.force_scalar_kernel = family.force_scalar;
     options.aggregate = kind;
     options.attribute =
@@ -247,7 +256,7 @@ BENCHMARK(BM_Partitioned_ParallelSpill)
     ->Apply(ParallelSpillArgs)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Partitioned_Kernel)
-    ->ArgsProduct({{1 << 14, 1 << 20}, {0, 1, 2, 3}, {0, 1}})
+    ->Apply(KernelArgs)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Partitioned_SpillBytes)
     ->ArgsProduct({{1 << 14, 1 << 20}, {0, 1}})

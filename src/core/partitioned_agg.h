@@ -24,8 +24,13 @@
 //     There is no shared replay cursor, so spill_to_disk combines freely
 //     with parallel_workers.
 //   * Phase 2 (build): one worker per region (work-stealing over an atomic
-//     region counter) builds the region's constant intervals with one of
-//     two kernels — see PartitionKernel below.
+//     region counter) builds the region's constant intervals.  The kernel
+//     follows from the aggregate: the columnar endpoint sweep
+//     (core/sweep_columnar) for the group-invertible COUNT, SUM and AVG —
+//     a closing endpoint subtracts what the opening endpoint added — and
+//     the Section 5.1 aggregation tree for MIN/MAX, whose states have no
+//     inverse (an expiring maximum cannot be "subtracted" without the
+//     remaining set).
 //
 // A region boundary that no tuple starts or ends at is *artificial*: both
 // sides belong to the same constant interval, so the per-region results
@@ -34,8 +39,7 @@
 
 #pragma once
 
-#include <cstdint>
-#include <string>
+#include <cstddef>
 
 #include "core/aggregates.h"
 #include "obs/trace.h"
@@ -43,31 +47,6 @@
 #include "util/result.h"
 
 namespace tagg {
-
-/// How a region's constant intervals are computed in phase 2.
-enum class PartitionKernel : uint8_t {
-  /// Columnar sweep for the group-invertible aggregates (COUNT, SUM, AVG
-  /// — states admit an inverse, so a closing endpoint can subtract what
-  /// the opening endpoint added), aggregation tree for MIN/MAX (not
-  /// invertible: an expiring maximum cannot be "subtracted" without the
-  /// remaining set).
-  kAuto,
-  /// Always the Section 5.1 aggregation tree.
-  kTree,
-  /// The array-of-structs endpoint-event delta sweep (the PR 3 kernel):
-  /// sort the region's 2n endpoint events with std::sort, then emit
-  /// constant intervals in one linear pass over a running
-  /// (sum, active-count) state.  Rejected for MIN/MAX.  Kept selectable
-  /// for the kernel ablation; kAuto prefers kColumnar.
-  kSweep,
-  /// The structure-of-arrays rewrite of the sweep (core/sweep_columnar):
-  /// radix-sorted timestamp column, prefix-scan-style accumulation with
-  /// an AVX2 body behind runtime dispatch (util/cpu_features).  Same
-  /// semantics and restrictions as kSweep.
-  kColumnar,
-};
-
-std::string_view PartitionKernelToString(PartitionKernel kernel);
 
 /// Options for partitioned evaluation.
 struct PartitionedOptions {
@@ -90,19 +69,15 @@ struct PartitionedOptions {
   /// workers, and regions are built concurrently.  Results are stitched
   /// in region order; each region is built by exactly one worker, so the
   /// worker count never changes the answer.  Floating-point SUM/AVG may
-  /// still differ from the tree kernel by rounding (summation order is
-  /// kernel-specific); the sweep kernel uses Neumaier-compensated
+  /// still differ from the aggregation tree by rounding (summation order
+  /// is kernel-specific); the columnar sweep uses Neumaier-compensated
   /// accumulation so the difference stays within the conditioning-aware
   /// tolerance documented in src/testing/differential.h and
   /// docs/TESTING.md.  1 = sequential.
   size_t parallel_workers = 1;
 
-  /// Phase-2 kernel selection; kAuto picks the columnar sweep for
-  /// invertible aggregates and the tree otherwise.
-  PartitionKernel kernel = PartitionKernel::kAuto;
-
   /// Endpoint events held in memory while sorting one spilled region
-  /// (sweep kernels only); larger regions sort through temp-file runs via
+  /// (columnar sweep only); larger regions sort through temp-file runs via
   /// storage/external_sort's PodRunSorter.
   size_t spill_sort_budget_records = 1 << 18;
 

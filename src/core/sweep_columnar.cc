@@ -127,6 +127,14 @@ void ColumnarSweeper::EmitSegment(Instant end) {
   seg_n_.push_back(n_);
 }
 
+// The sweep's add-then-subtract accumulator is the one place in the
+// library where floating-point error compounds across *unrelated* tuples:
+// a plain running sum loses a small addend under a large one (1.0 under
+// 1e17 rounds away entirely), and the later subtraction of the large value
+// leaves 0.0 where the aggregation tree — which only combines the tuples
+// overlapping an interval — reports the small value exactly.  Carrying the
+// rounding error in a compensation term restores the lost low-order bits
+// when the large magnitude retires (docs/TESTING.md's tolerance policy).
 void ColumnarSweeper::NeumaierAdd(double x) {
   const double t = sum_ + x;
   if (std::abs(sum_) >= std::abs(x)) {
@@ -161,7 +169,7 @@ void ColumnarSweeper::ConsumeScalar(const Instant* at, const double* dv,
     if (!count_only_) NeumaierAdd(dv[i]);
     n_ += dn[i];
     if (n_ == 0) {
-      // Exact return to the aggregate's identity (see SweepEmitter).
+      // Exact return to the aggregate's identity.
       sum_ = 0.0;
       comp_ = 0.0;
     }

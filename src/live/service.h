@@ -5,9 +5,10 @@
 // the relation's schema in the temporal/catalog, type-checks it exactly
 // like the batch path, bulk-loads the relation's current contents, and
 // from then on Ingest() keeps the relation and every index over it in
-// step — so the query executor can route repeated aggregate queries to
-// the resident tree instead of rebuilding one per query
-// (ExecutorOptions::live_service).
+// step.  Each shard of a shard::ShardedLiveService owns one LiveService,
+// which is how the query executor routes repeated aggregate queries to
+// the resident trees instead of rebuilding one per query
+// (ExecutorOptions::sharded_service).
 //
 // Threading model: the registry itself is mutex-protected; each index is
 // single-writer/multi-reader safe (live/live_index.h).  Ingest() appends

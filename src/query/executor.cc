@@ -86,14 +86,6 @@ obs::Counter& QueriesTotal() {
   return c;
 }
 
-obs::Counter& LiveRoutedTotal() {
-  static obs::Counter& c = obs::MetricsRegistry::Global().GetCounter(
-      "tagg_query_live_routed_total",
-      "queries answered from a resident live index instead of the batch "
-      "path");
-  return c;
-}
-
 obs::Histogram& QuerySeconds() {
   static obs::Histogram& h = obs::MetricsRegistry::Global().GetHistogram(
       "tagg_query_seconds", "end-to-end ExecuteSelect latency");
@@ -127,6 +119,45 @@ obs::Counter& ColumnScanRoutedTotal() {
 size_t ResolveWorkers(size_t requested) {
   if (requested > 0) return requested;
   return ResolveCountEnv("TAGG_WORKERS", 1, 256);
+}
+
+/// The relation's columnar backing when it can answer `agg` exactly: the
+/// file holds the relation's current rows and the aggregate targets the
+/// stored value column, or is COUNT(*) (stored files hold no NULLs).
+std::shared_ptr<const ColumnRelation> FreshColumnBacking(
+    const BoundQuery& query, const BoundAggregate& agg) {
+  const bool attribute_ok =
+      agg.attribute == kColumnValueAttribute ||
+      (agg.kind == AggregateKind::kCount &&
+       agg.attribute == AggregateOptions::kNoAttribute);
+  if (!attribute_ok) return nullptr;
+  auto backing =
+      std::dynamic_pointer_cast<const ColumnRelation>(query.column_backing);
+  if (backing == nullptr || backing->row_count() != query.relation->size()) {
+    return nullptr;
+  }
+  return backing;
+}
+
+/// Result rows of a single aggregate's series, with empty intervals
+/// dropped and equal neighbours coalesced exactly as the batch path does.
+std::vector<QueryResultRow> SeriesRows(std::vector<ResultInterval> intervals,
+                                       AggregateKind kind,
+                                       const ExecutorOptions& options) {
+  const Value empty = EmptyValueOf(kind);
+  std::vector<QueryResultRow> rows;
+  rows.reserve(intervals.size());
+  for (ResultInterval& ri : intervals) {
+    if (options.drop_empty && ri.value == empty) continue;
+    if (options.coalesce && !rows.empty() &&
+        rows.back().values[0] == ri.value &&
+        rows.back().valid.MeetsBefore(ri.period)) {
+      rows.back().valid = Period(rows.back().valid.start(), ri.period.end());
+      continue;
+    }
+    rows.push_back({{std::move(ri.value)}, ri.period});
+  }
+  return rows;
 }
 
 }  // namespace
@@ -193,169 +224,94 @@ Result<QueryResult> ExecuteSelect(const BoundQuery& query,
   exec_span.Annotate("relation", relation.name());
   exec_span.Annotate("input_tuples", relation.size());
 
-  // 0a. Sharded routing: the same eligibility gate as live routing below,
-  // answered scatter-gather across the shard topology (src/shard) when
-  // every shard has absorbed exactly the relation's current contents.
-  if (options.sharded_service != nullptr && query.where == nullptr &&
-      query.group_attributes.empty() && query.aggregates.size() == 1 &&
+  // 0. Resident routing: a single-aggregate instant-grouped query without
+  // WHERE or GROUP BY is answered from state that already holds the
+  // relation's aggregate instead of re-aggregating the in-memory tuples:
+  //   * the sharded live index (src/shard), scatter-gather across the
+  //     topology, when every shard has absorbed exactly the relation's
+  //     current contents;
+  //   * else the columnar backing file, by the pruned scan
+  //     (core/column_scan) — zone-map skipping, footer-summary
+  //     composition, and decode only where needed — when the file holds
+  //     exactly the relation's rows.
+  // A forced algorithm admits only the source that implements it.
+  // Anything else falls through to the batch path below.
+  if (query.where == nullptr && query.group_attributes.empty() &&
+      query.aggregates.size() == 1 &&
       query.temporal.kind == TemporalGrouping::Kind::kInstant) {
+    auto allows = [&](AlgorithmKind kind) {
+      return !options.force_algorithm.has_value() ||
+             *options.force_algorithm == kind;
+    };
     const BoundAggregate& agg = query.aggregates[0];
-    const shard::ShardedLiveService& sharded = *options.sharded_service;
-    if (sharded.ServesFresh(relation, agg.kind, agg.attribute)) {
+    const shard::ShardedLiveService* sharded = options.sharded_service;
+    if (sharded != nullptr &&
+        (!allows(AlgorithmKind::kLiveIndex) ||
+         !sharded->ServesFresh(relation, agg.kind, agg.attribute))) {
+      sharded = nullptr;
+    }
+    std::shared_ptr<const ColumnRelation> backing;
+    if (sharded == nullptr && allows(AlgorithmKind::kColumnScan)) {
+      backing = FreshColumnBacking(query, agg);
+    }
+    if (sharded != nullptr || backing != nullptr) {
       QueryResult routed;
       routed.analyzed = query.analyze;
       for (const BoundOutputColumn& col : query.columns) {
         routed.column_names.push_back(col.name);
       }
-      routed.plan.algorithm = AlgorithmKind::kLiveIndex;
-      routed.plan.rationale =
-          "served scatter-gather from the sharded live index for '" +
-          relation.name() + "' (" + std::to_string(sharded.num_shards()) +
-          " shard(s), topology v" +
-          std::to_string(sharded.topology_version()) + ")";
-      if (query.explain && !query.analyze) return routed;
-      ShardRoutedTotal().Increment();
-      obs::Span probe_span(profile, "shard_scatter");
-      probe_span.Annotate("shards", sharded.num_shards());
-      uint64_t epoch = 0;
-      TAGG_ASSIGN_OR_RETURN(
-          AggregateSeries series,
-          sharded.AggregateOver(relation.name(), agg.kind, agg.attribute,
-                                Period::All(), options.coalesce, &epoch));
-      probe_span.Annotate("intervals", series.intervals.size());
-      probe_span.End();
-      const Value empty = EmptyValueOf(agg.kind);
-      routed.rows.reserve(series.intervals.size());
-      for (ResultInterval& ri : series.intervals) {
-        if (options.drop_empty && ri.value == empty) continue;
-        routed.rows.push_back({{std::move(ri.value)}, ri.period});
+      const bool plan_only = query.explain && !query.analyze;
+      AggregateSeries series;
+      if (sharded != nullptr) {
+        routed.plan.algorithm = AlgorithmKind::kLiveIndex;
+        routed.plan.rationale =
+            "served scatter-gather from the sharded live index for '" +
+            relation.name() + "' (" + std::to_string(sharded->num_shards()) +
+            " shard(s), topology v" +
+            std::to_string(sharded->topology_version()) + ")";
+        if (plan_only) return routed;
+        ShardRoutedTotal().Increment();
+        obs::Span probe_span(profile, "shard_scatter");
+        probe_span.Annotate("shards", sharded->num_shards());
+        TAGG_ASSIGN_OR_RETURN(
+            series, sharded->AggregateOver(relation.name(), agg.kind,
+                                           agg.attribute, Period::All(),
+                                           /*coalesce=*/false));
+        probe_span.Annotate("intervals", series.intervals.size());
+      } else {
+        routed.plan.algorithm = AlgorithmKind::kColumnScan;
+        routed.plan.rationale =
+            "pruned scan over the columnar backing '" + backing->path() +
+            "' (" + std::to_string(backing->blocks().size()) +
+            " block(s); zone-map skipping + footer summaries)";
+        if (plan_only) return routed;
+        ColumnScanRoutedTotal().Increment();
+        obs::Span scan_span(profile, "column_scan");
+        ColumnScanOptions copts;
+        copts.aggregate = agg.kind;
+        copts.attribute = agg.attribute;
+        copts.window = Period::All();
+        copts.parallel_workers = ResolveWorkers(options.parallel_workers);
+        ColumnScanStats scan_stats;
+        TAGG_ASSIGN_OR_RETURN(
+            series, ComputeColumnScanAggregate(*backing, copts, &scan_stats));
+        scan_span.Annotate("blocks_total", scan_stats.blocks_total);
+        scan_span.Annotate("blocks_skipped", scan_stats.blocks_skipped);
+        scan_span.Annotate("blocks_summarized", scan_stats.blocks_summarized);
+        scan_span.Annotate("blocks_decoded", scan_stats.blocks_decoded);
+        scan_span.Annotate("rows_decoded", scan_stats.rows_decoded);
+        scan_span.Annotate("intervals", series.intervals.size());
       }
+      routed.rows = SeriesRows(std::move(series.intervals), agg.kind, options);
       return routed;
     }
   }
-
-  // 0. Live-index routing: when the service holds a registered index that
-  // is exactly as fresh as the relation, a single-aggregate instant-grouped
-  // query without WHERE or GROUP BY is answered from the resident tree
-  // instead of rebuilding one (src/live).  Anything else falls through to
-  // the batch path below.
-  if (options.live_service != nullptr && query.where == nullptr &&
-      query.group_attributes.empty() && query.aggregates.size() == 1 &&
-      query.temporal.kind == TemporalGrouping::Kind::kInstant) {
-    const BoundAggregate& agg = query.aggregates[0];
-    const LiveAggregateIndex* index =
-        options.live_service->Find(relation.name(), agg.kind, agg.attribute);
-    if (index != nullptr && index->epoch() == relation.size()) {
-      QueryResult routed;
-      routed.analyzed = query.analyze;
-      for (const BoundOutputColumn& col : query.columns) {
-        routed.column_names.push_back(col.name);
-      }
-      routed.plan.algorithm = AlgorithmKind::kLiveIndex;
-      routed.plan.rationale =
-          "served from the live index registered for '" + relation.name() +
-          "' at epoch " + std::to_string(index->epoch()) +
-          " (no per-query tree rebuild)";
-      if (query.explain && !query.analyze) return routed;
-      LiveRoutedTotal().Increment();
-      obs::Span probe_span(profile, "live_probe");
-      probe_span.Annotate("epoch", index->epoch());
-      probe_span.Annotate(
-          "engine", LiveConcurrencyToString(index->options().concurrency));
-      uint64_t epoch = 0;
-      TAGG_ASSIGN_OR_RETURN(
-          AggregateSeries series,
-          index->AggregateOver(Period::All(), options.coalesce, &epoch));
-      probe_span.Annotate("intervals", series.intervals.size());
-      probe_span.End();
-      const Value empty = EmptyValueOf(agg.kind);
-      routed.rows.reserve(series.intervals.size());
-      for (ResultInterval& ri : series.intervals) {
-        if (options.drop_empty && ri.value == empty) continue;
-        routed.rows.push_back({{std::move(ri.value)}, ri.period});
-      }
-      return routed;
-    }
-  }
-
-  // 0b. Columnar pruned-scan routing: when the catalog attached a columnar
-  // backing file that is exactly as fresh as the relation, the same class
-  // of query the live tiers serve (single aggregate, instant grouping, no
-  // WHERE or GROUP BY) is answered by the pruned scan (core/column_scan)
-  // over the stored blocks — zone-map skipping, footer-summary
-  // composition, and decode only where needed — instead of re-aggregating
-  // the in-memory tuples.
-  if (query.column_backing != nullptr && query.where == nullptr &&
-      query.group_attributes.empty() && query.aggregates.size() == 1 &&
-      query.temporal.kind == TemporalGrouping::Kind::kInstant &&
-      (!options.force_algorithm.has_value() ||
-       *options.force_algorithm == AlgorithmKind::kColumnScan)) {
-    const BoundAggregate& agg = query.aggregates[0];
-    // Column files store a single value column; COUNT(*) is also fine
-    // because stored files cannot contain NULLs.
-    const bool attribute_ok =
-        agg.attribute == kColumnValueAttribute ||
-        (agg.kind == AggregateKind::kCount &&
-         agg.attribute == AggregateOptions::kNoAttribute);
-    auto backing = std::dynamic_pointer_cast<const ColumnRelation>(
-        query.column_backing);
-    if (attribute_ok && backing != nullptr &&
-        backing->row_count() == relation.size()) {
-      QueryResult routed;
-      routed.analyzed = query.analyze;
-      for (const BoundOutputColumn& col : query.columns) {
-        routed.column_names.push_back(col.name);
-      }
-      routed.plan.algorithm = AlgorithmKind::kColumnScan;
-      routed.plan.rationale =
-          "pruned scan over the columnar backing '" + backing->path() +
-          "' (" + std::to_string(backing->blocks().size()) +
-          " block(s); zone-map skipping + footer summaries)";
-      if (query.explain && !query.analyze) return routed;
-      ColumnScanRoutedTotal().Increment();
-      obs::Span scan_span(profile, "column_scan");
-      ColumnScanOptions copts;
-      copts.aggregate = agg.kind;
-      copts.attribute = agg.attribute;
-      copts.window = Period::All();
-      copts.parallel_workers = ResolveWorkers(options.parallel_workers);
-      ColumnScanStats scan_stats;
-      TAGG_ASSIGN_OR_RETURN(
-          AggregateSeries series,
-          ComputeColumnScanAggregate(*backing, copts, &scan_stats));
-      scan_span.Annotate("blocks_total", scan_stats.blocks_total);
-      scan_span.Annotate("blocks_skipped", scan_stats.blocks_skipped);
-      scan_span.Annotate("blocks_summarized", scan_stats.blocks_summarized);
-      scan_span.Annotate("blocks_decoded", scan_stats.blocks_decoded);
-      scan_span.Annotate("rows_decoded", scan_stats.rows_decoded);
-      scan_span.Annotate("intervals", series.intervals.size());
-      scan_span.End();
-      const Value empty = EmptyValueOf(agg.kind);
-      routed.rows.reserve(series.intervals.size());
-      for (ResultInterval& ri : series.intervals) {
-        if (options.drop_empty && ri.value == empty) continue;
-        if (options.coalesce && !routed.rows.empty() &&
-            routed.rows.back().values[0] == ri.value &&
-            routed.rows.back().valid.MeetsBefore(ri.period)) {
-          routed.rows.back().valid = Period(
-              routed.rows.back().valid.start(), ri.period.end());
-          continue;
-        }
-        routed.rows.push_back({{std::move(ri.value)}, ri.period});
-      }
-      return routed;
-    }
-    if (options.force_algorithm == AlgorithmKind::kColumnScan) {
-      return Status::InvalidArgument(
-          "column scan was forced but the relation's columnar backing is "
-          "missing, stale, or the aggregate does not target the stored "
-          "value column");
-    }
-  } else if (options.force_algorithm == AlgorithmKind::kColumnScan) {
+  if (options.force_algorithm == AlgorithmKind::kColumnScan) {
     return Status::InvalidArgument(
-        "column scan requires an attached columnar backing and a "
-        "single-aggregate instant-grouped query without WHERE or GROUP "
-        "BY");
+        "column scan was forced but the query is not a single-aggregate "
+        "instant-grouped query without WHERE or GROUP BY, or the "
+        "relation's columnar backing is missing, stale, or does not store "
+        "the aggregated attribute");
   }
 
   // 1. Filter.

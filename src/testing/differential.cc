@@ -81,11 +81,6 @@ constexpr AggregateKind kAllAggregates[] = {
     AggregateKind::kCount, AggregateKind::kSum, AggregateKind::kMin,
     AggregateKind::kMax, AggregateKind::kAvg};
 
-bool IsInvertible(AggregateKind kind) {
-  return kind == AggregateKind::kCount || kind == AggregateKind::kSum ||
-         kind == AggregateKind::kAvg;
-}
-
 size_t AttributeFor(AggregateKind kind) {
   return kind == AggregateKind::kCount ? AggregateOptions::kNoAttribute
                                        : kSalaryAttribute;
@@ -726,34 +721,24 @@ Status RunDifferentialSeed(uint64_t seed, const DifferentialOptions& options,
         size_t partitions;
         size_t workers;
         bool spill;
-        PartitionKernel kernel;
         bool force_scalar = false;
         bool compress_spill = true;
       };
-      // MIN/MAX have no inverse, so explicit sweep/columnar requests fall
-      // back to the tree there (the configuration itself stays covered).
-      const PartitionKernel value_kernel = IsInvertible(aggregate)
-                                               ? PartitionKernel::kSweep
-                                               : PartitionKernel::kTree;
-      const PartitionKernel columnar_kernel =
-          IsInvertible(aggregate) ? PartitionKernel::kColumnar
-                                  : PartitionKernel::kTree;
+      // The kernel follows from the aggregate: the columnar sweep for
+      // COUNT/SUM/AVG, the aggregation tree for MIN/MAX.
       const PartConfig grid[] = {
-          // kAuto now routes invertible aggregates through the columnar
-          // kernel, so the first and last rows cover columnar implicitly.
-          {"partitioned/p3", 3, 1, false, PartitionKernel::kAuto},
-          {"partitioned/p5-w4-tree", 5, 4, false, PartitionKernel::kTree},
-          {"partitioned/p4-w3-spill", 4, 3, true, value_kernel},
-          {"partitioned/p1-w2-spill", 1, 2, true, PartitionKernel::kAuto},
-          // Columnar kernel, both dispatch paths, plus the compressed and
-          // raw spill codecs; the tiny sort budget forces external runs.
-          {"partitioned/p4-w2-columnar", 4, 2, false, columnar_kernel},
-          {"partitioned/p3-columnar-scalar", 3, 1, false, columnar_kernel,
+          {"partitioned/p3", 3, 1, false},
+          {"partitioned/p5-w4", 5, 4, false},
+          {"partitioned/p4-w3-spill", 4, 3, true},
+          {"partitioned/p1-w2-spill", 1, 2, true},
+          // Both columnar dispatch paths, plus the compressed and raw
+          // spill codecs; the tiny sort budget forces external runs.
+          {"partitioned/p4-w2-columnar", 4, 2, false},
+          {"partitioned/p3-columnar-scalar", 3, 1, false,
            /*force_scalar=*/true},
-          {"partitioned/p2-w2-spill-columnar", 2, 2, true, columnar_kernel},
+          {"partitioned/p2-w2-spill-columnar", 2, 2, true},
           {"partitioned/p3-spill-columnar-scalar-raw", 3, 1, true,
-           columnar_kernel, /*force_scalar=*/true,
-           /*compress_spill=*/false},
+           /*force_scalar=*/true, /*compress_spill=*/false},
       };
       for (const PartConfig& cfg : grid) {
         PartitionedOptions popts;
@@ -762,10 +747,9 @@ Status RunDifferentialSeed(uint64_t seed, const DifferentialOptions& options,
         popts.partitions = cfg.partitions;
         popts.parallel_workers = cfg.workers;
         popts.spill_to_disk = cfg.spill;
-        popts.kernel = cfg.kernel;
         popts.force_scalar_kernel = cfg.force_scalar;
         popts.compress_spill = cfg.compress_spill;
-        // Small enough that spilled sweep regions sort through external
+        // Small enough that spilled columnar regions sort through external
         // runs, exercising the PodRunSorter path.
         popts.spill_sort_budget_records = 32;
         TAGG_RETURN_IF_ERROR(

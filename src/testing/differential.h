@@ -33,8 +33,8 @@
 //     in from tuples that do NOT overlap the interval: a running sweep
 //     accumulator that lost a small addend under a large magnitude keeps
 //     the damage after the large tuple retires, where C(I) is small
-//     again.  The sweep kernel uses Neumaier-compensated accumulation
-//     (core/partitioned_agg.cc) precisely to stay inside this policy.
+//     again.  The columnar sweep uses Neumaier-compensated accumulation
+//     (core/sweep_columnar.cc) precisely to stay inside this policy.
 //   * NULL (empty interval) must match exactly: an algorithm reporting
 //     0.0 where another reports NULL is a bug, not a rounding artifact.
 //
@@ -61,7 +61,8 @@ struct DifferentialOptions {
   /// Relative tolerance for SUM/AVG (see the file comment).
   double relative_tolerance = 1e-9;
 
-  /// Include the partitioned evaluation (workers × spill × kernel grid).
+  /// Include the partitioned evaluation (workers × spill × dispatch ×
+  /// codec grid).
   bool include_partitioned = true;
 
   /// Include the pruned columnar stored-relation scan (core/column_scan):

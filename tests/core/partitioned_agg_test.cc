@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <utility>
 
 #include "core/aggregation_tree.h"
 #include "core/workload.h"
@@ -32,8 +34,7 @@ void ExpectMatchesSingleTree(const Relation& relation,
   EXPECT_EQ(got->intervals, want->intervals)
       << "partitions=" << options.partitions
       << " spill=" << options.spill_to_disk
-      << " workers=" << options.parallel_workers
-      << " kernel=" << PartitionKernelToString(options.kernel);
+      << " workers=" << options.parallel_workers;
 }
 
 TEST(PartitionedAggTest, ValidatesOptions) {
@@ -47,43 +48,6 @@ TEST(PartitionedAggTest, ValidatesOptions) {
   options.attribute = 99;
   EXPECT_TRUE(
       ComputePartitionedAggregate(r, options).status().IsInvalidArgument());
-}
-
-TEST(PartitionedAggTest, SweepKernelRejectsMinMax) {
-  // MIN/MAX states have no inverse, so the sweep kernel cannot serve
-  // them; the error should come from validation, not a wrong answer.
-  Relation r = testutil::MakeRelation({{0, 9, 1}});
-  for (AggregateKind kind : {AggregateKind::kMin, AggregateKind::kMax}) {
-    PartitionedOptions options;
-    options.aggregate = kind;
-    options.attribute = 1;
-    options.kernel = PartitionKernel::kSweep;
-    const Status st = ComputePartitionedAggregate(r, options).status();
-    EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
-    EXPECT_NE(st.ToString().find("sweep"), std::string::npos)
-        << st.ToString();
-  }
-}
-
-TEST(PartitionedAggTest, ColumnarKernelRejectsMinMax) {
-  Relation r = testutil::MakeRelation({{0, 9, 1}});
-  for (AggregateKind kind : {AggregateKind::kMin, AggregateKind::kMax}) {
-    PartitionedOptions options;
-    options.aggregate = kind;
-    options.attribute = 1;
-    options.kernel = PartitionKernel::kColumnar;
-    const Status st = ComputePartitionedAggregate(r, options).status();
-    EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
-    EXPECT_NE(st.ToString().find("sweep"), std::string::npos)
-        << st.ToString();
-  }
-}
-
-TEST(PartitionedAggTest, KernelNames) {
-  EXPECT_EQ(PartitionKernelToString(PartitionKernel::kAuto), "auto");
-  EXPECT_EQ(PartitionKernelToString(PartitionKernel::kTree), "tree");
-  EXPECT_EQ(PartitionKernelToString(PartitionKernel::kSweep), "sweep");
-  EXPECT_EQ(PartitionKernelToString(PartitionKernel::kColumnar), "columnar");
 }
 
 TEST(PartitionedAggTest, SinglePartitionEqualsPlainTree) {
@@ -124,9 +88,10 @@ TEST(PartitionedAggTest, RandomWorkloadsMatch) {
   }
 }
 
-TEST(PartitionedAggTest, TreeKernelForcedMatchesForAllKinds) {
-  // kAuto picks the sweep for COUNT/SUM/AVG; forcing the tree must give
-  // the same answer — both kernels are exact on integer inputs.
+TEST(PartitionedAggTest, KernelFollowsAggregate) {
+  // The phase-2 kernel is the columnar sweep for the invertible
+  // COUNT/SUM/AVG and the aggregation tree for MIN/MAX; the partitioned
+  // span says which ran, and either way the answer is the tree's.
   WorkloadSpec spec;
   spec.num_tuples = 200;
   spec.lifespan = 10000;
@@ -135,12 +100,23 @@ TEST(PartitionedAggTest, TreeKernelForcedMatchesForAllKinds) {
   auto relation = GenerateEmployedRelation(spec);
   ASSERT_TRUE(relation.ok());
   for (AggregateKind kind : kAllKinds) {
+    obs::QueryProfile profile;
     PartitionedOptions options;
     options.partitions = 8;
     options.aggregate = kind;
     options.attribute = AttributeFor(kind);
-    options.kernel = PartitionKernel::kTree;
+    options.profile = &profile;
     ExpectMatchesSingleTree(*relation, options);
+    const obs::SpanNode* span = profile.Find("partitioned");
+    ASSERT_NE(span, nullptr);
+    const bool invertible =
+        kind != AggregateKind::kMin && kind != AggregateKind::kMax;
+    const std::pair<std::string, std::string> kernel{
+        "kernel", invertible ? "columnar" : "tree"};
+    EXPECT_NE(std::find(span->annotations.begin(), span->annotations.end(),
+                        kernel),
+              span->annotations.end())
+        << AggregateKindToString(kind);
   }
 }
 
@@ -158,32 +134,8 @@ TEST(PartitionedAggTest, SpillToDiskMatches) {
   ExpectMatchesSingleTree(*relation, options);
 }
 
-TEST(PartitionedAggTest, SpillSweepSortsThroughRuns) {
-  // A spill budget far below the region event counts forces the sweep's
-  // PodRunSorter into run generation + k-way merge; the answer must not
-  // change.
-  WorkloadSpec spec;
-  spec.num_tuples = 400;
-  spec.lifespan = 20000;
-  spec.long_lived_fraction = 0.5;
-  spec.seed = 4242;
-  auto relation = GenerateEmployedRelation(spec);
-  ASSERT_TRUE(relation.ok());
-  for (AggregateKind kind :
-       {AggregateKind::kCount, AggregateKind::kSum, AggregateKind::kAvg}) {
-    PartitionedOptions options;
-    options.partitions = 4;
-    options.aggregate = kind;
-    options.attribute = AttributeFor(kind);
-    options.spill_to_disk = true;
-    options.kernel = PartitionKernel::kSweep;
-    options.spill_sort_budget_records = 8;
-    ExpectMatchesSingleTree(*relation, options);
-  }
-}
-
 TEST(PartitionedAggTest, ColumnarKernelMatchesAcrossDispatchModes) {
-  // The columnar kernel (kAuto's pick for invertible aggregates) must
+  // The columnar kernel (the one invertible aggregates get) must
   // reproduce the tree result exactly in both dispatch modes — the AVX2
   // body and the forced-scalar body share the emitter semantics.
   WorkloadSpec spec;
@@ -200,7 +152,6 @@ TEST(PartitionedAggTest, ColumnarKernelMatchesAcrossDispatchModes) {
       options.partitions = 8;
       options.aggregate = kind;
       options.attribute = AttributeFor(kind);
-      options.kernel = PartitionKernel::kColumnar;
       options.force_scalar_kernel = force_scalar;
       ExpectMatchesSingleTree(*relation, options);
     }
@@ -208,9 +159,10 @@ TEST(PartitionedAggTest, ColumnarKernelMatchesAcrossDispatchModes) {
 }
 
 TEST(PartitionedAggTest, SpillColumnarSortsThroughRuns) {
-  // The columnar analogue of SpillSweepSortsThroughRuns: a tiny budget
-  // forces PodRunSorter runs; compressed and raw spill formats and both
-  // dispatch modes must all reproduce the tree answer.
+  // A spill budget far below the region event counts forces the columnar
+  // sweep's PodRunSorter into run generation + k-way merge; compressed and
+  // raw spill formats and both dispatch modes must all reproduce the tree
+  // answer.
   WorkloadSpec spec;
   spec.num_tuples = 400;
   spec.lifespan = 20000;
@@ -227,7 +179,6 @@ TEST(PartitionedAggTest, SpillColumnarSortsThroughRuns) {
         options.aggregate = kind;
         options.attribute = AttributeFor(kind);
         options.spill_to_disk = true;
-        options.kernel = PartitionKernel::kColumnar;
         options.spill_sort_budget_records = 8;
         options.compress_spill = compress;
         options.force_scalar_kernel = force_scalar;
@@ -240,6 +191,7 @@ TEST(PartitionedAggTest, SpillColumnarSortsThroughRuns) {
 TEST(PartitionedAggTest, CompressedSpillMatchesRawForAllKernels) {
   // compress_spill is transparent: phase-1 clipped-tuple files and
   // phase-2 sort runs change their on-disk bytes, never the answer.
+  // COUNT runs the columnar sweep, MAX the aggregation tree.
   WorkloadSpec spec;
   spec.num_tuples = 300;
   spec.lifespan = 15000;
@@ -247,16 +199,13 @@ TEST(PartitionedAggTest, CompressedSpillMatchesRawForAllKernels) {
   spec.seed = 272;
   auto relation = GenerateEmployedRelation(spec);
   ASSERT_TRUE(relation.ok());
-  for (PartitionKernel kernel :
-       {PartitionKernel::kTree, PartitionKernel::kSweep,
-        PartitionKernel::kColumnar}) {
+  for (AggregateKind kind : {AggregateKind::kCount, AggregateKind::kMax}) {
     for (bool compress : {true, false}) {
       PartitionedOptions options;
       options.partitions = 8;
-      options.aggregate = AggregateKind::kSum;
-      options.attribute = 1;
+      options.aggregate = kind;
+      options.attribute = AttributeFor(kind);
       options.spill_to_disk = true;
-      options.kernel = kernel;
       options.compress_spill = compress;
       options.parallel_workers = 2;
       ExpectMatchesSingleTree(*relation, options);
@@ -353,12 +302,12 @@ TEST(PartitionedAggTest, BoundaryExactlyOnTupleEndpointIsReal) {
   // Lifespan [0, 99] with 2 partitions puts a boundary at 50.
   Relation r = testutil::MakeRelation(
       {{0, 49, 1}, {50, 99, 1}});  // endpoints exactly at the boundary
-  for (PartitionKernel kernel :
-       {PartitionKernel::kTree, PartitionKernel::kSweep,
-        PartitionKernel::kColumnar}) {
+  // COUNT runs the columnar sweep, MAX the aggregation tree.
+  for (AggregateKind kind : {AggregateKind::kCount, AggregateKind::kMax}) {
     PartitionedOptions options;
     options.partitions = 2;
-    options.kernel = kernel;
+    options.aggregate = kind;
+    options.attribute = AttributeFor(kind);
     auto got = ComputePartitionedAggregate(r, options);
     ASSERT_TRUE(got.ok());
     ASSERT_EQ(got->intervals.size(), 3u);
@@ -371,17 +320,19 @@ TEST(PartitionedAggTest, ArtificialBoundaryIsStitched) {
   // One tuple spanning the whole [0, 99] lifespan; the region boundary at
   // 50 is artificial, so the result must be a single interval across it.
   Relation r = testutil::MakeRelation({{0, 99, 1}});
-  for (PartitionKernel kernel :
-       {PartitionKernel::kTree, PartitionKernel::kSweep,
-        PartitionKernel::kColumnar}) {
+  // COUNT runs the columnar sweep, MAX the aggregation tree.
+  for (AggregateKind kind : {AggregateKind::kCount, AggregateKind::kMax}) {
     PartitionedOptions options;
     options.partitions = 2;
-    options.kernel = kernel;
+    options.aggregate = kind;
+    options.attribute = AttributeFor(kind);
     auto got = ComputePartitionedAggregate(r, options);
     ASSERT_TRUE(got.ok());
     ASSERT_EQ(got->intervals.size(), 2u);
     EXPECT_EQ(got->intervals[0].period, Period(0, 99));
-    EXPECT_EQ(got->intervals[0].value, Value::Int(1));
+    EXPECT_EQ(got->intervals[0].value, kind == AggregateKind::kCount
+                                           ? Value::Int(1)
+                                           : Value::Double(1.0));
     EXPECT_EQ(got->intervals[1].period, Period(100, kForever));
   }
 }
@@ -403,8 +354,8 @@ Value ValueAt(const AggregateSeries& series, Instant t) {
 }
 
 TEST(PartitionedAggTest, SweepKernelSurvivesCatastrophicCancellation) {
-  // Regression: the sweep kernel keeps one running accumulator and adds a
-  // tuple's value at its start and the negation at its end.  Plain IEEE
+  // Regression: the columnar sweep keeps one running accumulator and adds
+  // a tuple's value at its start and the negation at its end.  Plain IEEE
   // accumulation loses a small addend absorbed under a large magnitude
   // (1e17 + 1 rounds to 1e17), and the damage persists after the large
   // tuple retires: SUM over [20, 39] came back 0.0 instead of 1.0.  The
@@ -412,30 +363,26 @@ TEST(PartitionedAggTest, SweepKernelSurvivesCatastrophicCancellation) {
   Relation r = testutil::MakeRelation(
       {{0, 19, 100000000000000000LL}, {10, 39, 1}});
   for (AggregateKind kind : {AggregateKind::kSum, AggregateKind::kAvg}) {
-    for (PartitionKernel kernel :
-         {PartitionKernel::kSweep, PartitionKernel::kColumnar}) {
-      for (bool force_scalar : {false, true}) {
-        PartitionedOptions sweep;
-        sweep.partitions = 1;  // one region: whole cancellation in one sweep
-        sweep.aggregate = kind;
-        sweep.attribute = 1;
-        sweep.kernel = kernel;
-        sweep.force_scalar_kernel = force_scalar;
-        auto got = ComputePartitionedAggregate(r, sweep);
-        ASSERT_TRUE(got.ok()) << got.status().ToString();
-        // After the 1e17 tuple retires at 20 only the value-1 tuple lives.
-        EXPECT_EQ(ValueAt(*got, 30), Value::Double(1.0))
-            << AggregateKindToString(kind) << " "
-            << PartitionKernelToString(kernel);
-
-        PartitionedOptions tree = sweep;
-        tree.kernel = PartitionKernel::kTree;
-        auto want = ComputePartitionedAggregate(r, tree);
-        ASSERT_TRUE(want.ok()) << want.status().ToString();
-        EXPECT_EQ(got->intervals, want->intervals)
-            << "kernels disagree for " << AggregateKindToString(kind) << " "
-            << PartitionKernelToString(kernel);
-      }
+    AggregateOptions tree;
+    tree.aggregate = kind;
+    tree.attribute = 1;
+    tree.algorithm = AlgorithmKind::kAggregationTree;
+    auto want = ComputeTemporalAggregate(r, tree);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    for (bool force_scalar : {false, true}) {
+      PartitionedOptions sweep;
+      sweep.partitions = 1;  // one region: whole cancellation in one sweep
+      sweep.aggregate = kind;
+      sweep.attribute = 1;
+      sweep.force_scalar_kernel = force_scalar;
+      auto got = ComputePartitionedAggregate(r, sweep);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      // After the 1e17 tuple retires at 20 only the value-1 tuple lives.
+      EXPECT_EQ(ValueAt(*got, 30), Value::Double(1.0))
+          << AggregateKindToString(kind) << " scalar=" << force_scalar;
+      EXPECT_EQ(got->intervals, want->intervals)
+          << "sweep and tree disagree for " << AggregateKindToString(kind)
+          << " scalar=" << force_scalar;
     }
   }
 }
@@ -447,25 +394,26 @@ TEST(PartitionedAggTest, SweepKernelReportsEmptyIntervalsAsNull) {
   // are different answers.
   Relation r = testutil::MakeRelation({{0, 9, 5}, {50, 59, 7}});
   for (AggregateKind kind : {AggregateKind::kSum, AggregateKind::kAvg}) {
-    for (PartitionKernel kernel :
-         {PartitionKernel::kSweep, PartitionKernel::kColumnar}) {
-      PartitionedOptions options;
-      options.partitions = 1;
-      options.aggregate = kind;
-      options.attribute = 1;
-      options.kernel = kernel;
-      auto got = ComputePartitionedAggregate(r, options);
-      ASSERT_TRUE(got.ok()) << got.status().ToString();
-      EXPECT_EQ(ValueAt(*got, 5), Value::Double(5.0))
-          << AggregateKindToString(kind) << " "
-          << PartitionKernelToString(kernel);
-      EXPECT_EQ(ValueAt(*got, 30), Value::Null())
-          << AggregateKindToString(kind) << " "
-          << PartitionKernelToString(kernel);
-      EXPECT_EQ(ValueAt(*got, 1000), Value::Null())
-          << AggregateKindToString(kind) << " "
-          << PartitionKernelToString(kernel);
-    }
+    AggregateOptions tree;
+    tree.aggregate = kind;
+    tree.attribute = 1;
+    tree.algorithm = AlgorithmKind::kAggregationTree;
+    auto want = ComputeTemporalAggregate(r, tree);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    PartitionedOptions options;
+    options.partitions = 1;
+    options.aggregate = kind;
+    options.attribute = 1;
+    auto got = ComputePartitionedAggregate(r, options);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(ValueAt(*got, 5), Value::Double(5.0))
+        << AggregateKindToString(kind);
+    EXPECT_EQ(ValueAt(*got, 30), Value::Null())
+        << AggregateKindToString(kind);
+    EXPECT_EQ(ValueAt(*got, 1000), Value::Null())
+        << AggregateKindToString(kind);
+    EXPECT_EQ(got->intervals, want->intervals)
+        << "sweep and tree disagree for " << AggregateKindToString(kind);
   }
 }
 

@@ -160,7 +160,8 @@ std::vector<Seg> Segments(const ColumnarSweeper& sweeper) {
   return out;
 }
 
-// The reference: the PR 3 SweepEmitter semantics, restated directly.
+// The reference: a plain scalar endpoint sweep with Neumaier-compensated
+// accumulation and the reset-to-0.0 rule, restated directly.
 std::vector<Seg> ReferenceSweep(int64_t lo, int64_t hi,
                                 const EventColumns& cols) {
   std::vector<Seg> out;

@@ -7,7 +7,7 @@
 #include <filesystem>
 
 #include "core/workload.h"
-#include "live/service.h"
+#include "shard/sharded_service.h"
 #include "storage/column_relation.h"
 #include "storage/relation_io.h"
 
@@ -330,12 +330,12 @@ void ExpectSameRows(const QueryResult& got, const QueryResult& want) {
 }
 
 TEST_F(ExecutorTest, LiveIndexServesFreshCountStar) {
-  LiveService service;
+  shard::ShardedLiveService service;  // one shard
   ASSERT_TRUE(
       service.RegisterIndex(catalog_, "employed", AggregateKind::kCount)
           .ok());
   ExecutorOptions options;
-  options.live_service = &service;
+  options.sharded_service = &service;
 
   auto routed = RunQuery("SELECT COUNT(*) FROM employed", catalog_, options);
   ASSERT_TRUE(routed.ok()) << routed.status().ToString();
@@ -348,18 +348,19 @@ TEST_F(ExecutorTest, LiveIndexServesFreshCountStar) {
   EXPECT_NE(batch->plan.algorithm, AlgorithmKind::kLiveIndex);
   ExpectSameRows(*routed, *batch);
 
-  // The service's counters show the query was actually absorbed there.
-  LiveServiceStats stats = service.Stats();
-  ASSERT_EQ(stats.indexes.size(), 1u);
-  EXPECT_EQ(stats.indexes[0].second.queries_served, 1u);
+  // The shard's counters show the query was actually absorbed there.
+  shard::ShardedStats stats = service.Stats();
+  ASSERT_EQ(stats.shards.size(), 1u);
+  ASSERT_EQ(stats.shards[0].service.indexes.size(), 1u);
+  EXPECT_EQ(stats.shards[0].service.indexes[0].second.queries_served, 1u);
 }
 
 TEST_F(ExecutorTest, LiveIndexFallsBackWhenStale) {
-  LiveService service;
+  shard::ShardedLiveService service;
   ASSERT_TRUE(
       service.RegisterIndex(catalog_, "employed", AggregateKind::kCount)
           .ok());
-  // Grow the relation behind the service's back: the epoch check must
+  // Grow the relation behind the service's back: the freshness check must
   // notice and fall back to the batch path rather than serve stale rows.
   auto relation = catalog_.Get("employed");
   ASSERT_TRUE(relation.ok());
@@ -369,7 +370,7 @@ TEST_F(ExecutorTest, LiveIndexFallsBackWhenStale) {
                   .ok());
 
   ExecutorOptions options;
-  options.live_service = &service;
+  options.sharded_service = &service;
   auto result = RunQuery("SELECT COUNT(*) FROM employed", catalog_, options);
   ASSERT_TRUE(result.ok());
   EXPECT_NE(result->plan.algorithm, AlgorithmKind::kLiveIndex);
@@ -385,7 +386,7 @@ TEST_F(ExecutorTest, LiveIndexFallsBackWhenStale) {
 }
 
 TEST_F(ExecutorTest, LiveIndexStaysFreshThroughServiceIngest) {
-  LiveService service;
+  shard::ShardedLiveService service;
   ASSERT_TRUE(
       service.RegisterIndex(catalog_, "employed", AggregateKind::kCount)
           .ok());
@@ -396,7 +397,7 @@ TEST_F(ExecutorTest, LiveIndexStaysFreshThroughServiceIngest) {
                   .ok());
 
   ExecutorOptions options;
-  options.live_service = &service;
+  options.sharded_service = &service;
   auto result = RunQuery("SELECT COUNT(*) FROM employed", catalog_, options);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->plan.algorithm, AlgorithmKind::kLiveIndex);
@@ -411,12 +412,12 @@ TEST_F(ExecutorTest, LiveIndexStaysFreshThroughServiceIngest) {
 }
 
 TEST_F(ExecutorTest, LiveIndexSkipsQueriesItCannotServe) {
-  LiveService service;
+  shard::ShardedLiveService service;
   ASSERT_TRUE(
       service.RegisterIndex(catalog_, "employed", AggregateKind::kCount)
           .ok());
   ExecutorOptions options;
-  options.live_service = &service;
+  options.sharded_service = &service;
 
   // WHERE, GROUP BY, a different aggregate, and a different attribute all
   // fall back to the batch path.
@@ -433,6 +434,63 @@ TEST_F(ExecutorTest, LiveIndexSkipsQueriesItCannotServe) {
     ASSERT_TRUE(batch.ok());
     ExpectSameRows(*result, *batch);
   }
+}
+
+TEST_F(ExecutorTest, LiveIndexHonoursForcedAlgorithm) {
+  // A forced algorithm admits only the route that implements it: a fresh
+  // index must not answer a query forced onto the aggregation tree.
+  shard::ShardedLiveService service;
+  ASSERT_TRUE(
+      service.RegisterIndex(catalog_, "employed", AggregateKind::kCount)
+          .ok());
+  ExecutorOptions options;
+  options.sharded_service = &service;
+  options.force_algorithm = AlgorithmKind::kAggregationTree;
+  auto forced = RunQuery("SELECT COUNT(*) FROM employed", catalog_, options);
+  ASSERT_TRUE(forced.ok()) << forced.status().ToString();
+  EXPECT_EQ(forced->plan.algorithm, AlgorithmKind::kAggregationTree);
+  auto batch = RunQuery("SELECT COUNT(*) FROM employed", catalog_);
+  ASSERT_TRUE(batch.ok());
+  ExpectSameRows(*forced, *batch);
+
+  // Forcing the live index itself still routes.
+  options.force_algorithm = AlgorithmKind::kLiveIndex;
+  auto live = RunQuery("SELECT COUNT(*) FROM employed", catalog_, options);
+  ASSERT_TRUE(live.ok()) << live.status().ToString();
+  EXPECT_EQ(live->plan.algorithm, AlgorithmKind::kLiveIndex);
+  ExpectSameRows(*live, *batch);
+}
+
+TEST_F(ExecutorTest, FourShardCountMatchesBatch) {
+  WorkloadSpec spec;
+  spec.num_tuples = 2000;
+  spec.lifespan = 100000;
+  spec.long_lived_fraction = 0.3;
+  spec.seed = 404;
+  auto gen = GenerateEmployedRelation(spec);
+  ASSERT_TRUE(gen.ok());
+  Catalog catalog;
+  ASSERT_TRUE(
+      catalog.Register(std::make_shared<Relation>(std::move(gen).value()))
+          .ok());
+  shard::ShardedLiveService service(shard::ShardedServiceOptions{.shards = 4});
+  ASSERT_TRUE(
+      service.RegisterIndex(catalog, "employed", AggregateKind::kCount).ok());
+  // Re-cut at the data's start quantiles, as `taggd --shards 4` does.
+  ASSERT_TRUE(service.Reshard(4).ok());
+  ASSERT_EQ(service.num_shards(), 4u);
+
+  ExecutorOptions options;
+  options.sharded_service = &service;
+  auto routed = RunQuery("SELECT COUNT(*) FROM employed", catalog, options);
+  ASSERT_TRUE(routed.ok()) << routed.status().ToString();
+  EXPECT_EQ(routed->plan.algorithm, AlgorithmKind::kLiveIndex);
+  EXPECT_NE(routed->plan.rationale.find("4 shard(s)"), std::string::npos)
+      << routed->plan.rationale;
+  auto batch = RunQuery("SELECT COUNT(*) FROM employed", catalog);
+  ASSERT_TRUE(batch.ok());
+  EXPECT_NE(batch->plan.algorithm, AlgorithmKind::kLiveIndex);
+  ExpectSameRows(*routed, *batch);
 }
 
 TEST_F(ExecutorTest, ParallelWorkersRouteToPartitioned) {
@@ -534,7 +592,7 @@ TEST_F(ExecutorTest, PlanSpanAnnotatesWorkers) {
   EXPECT_NE(result->profile->Find("stitch"), nullptr);
 }
 
-// The columnar routing tier (0b): the catalog carries a columnar backing
+// The columnar routing source: the catalog carries a columnar backing
 // file for `employed`, and eligible queries are served by the pruned scan
 // instead of re-aggregating the in-memory tuples.
 class ColumnarRoutingTest : public ExecutorTest {
@@ -654,6 +712,41 @@ TEST_F(ColumnarRoutingTest, ForcedColumnScanRejectsIneligibleQuery) {
       << result.status().ToString();
 }
 
+TEST_F(ColumnarRoutingTest, ResidentSourcesShapeRowsLikeBatch) {
+  // The sharded live index outranks the backing when both are fresh, and
+  // a forced column scan still reaches the backing.  Either way
+  // drop_empty and coalesce shape the rows exactly as on the batch path.
+  shard::ShardedLiveService service;
+  ASSERT_TRUE(service
+                  .RegisterIndex(catalog_, "employed", AggregateKind::kMax,
+                                 "salary")
+                  .ok());
+  const char* sql = "SELECT MAX(salary) FROM employed";
+  for (bool drop_empty : {true, false}) {
+    for (bool coalesce : {true, false}) {
+      ExecutorOptions options;
+      options.drop_empty = drop_empty;
+      options.coalesce = coalesce;
+      options.force_algorithm = AlgorithmKind::kAggregationTree;
+      auto batch = RunQuery(sql, catalog_, options);
+      ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+
+      options.force_algorithm.reset();
+      options.sharded_service = &service;
+      auto live = RunQuery(sql, catalog_, options);
+      ASSERT_TRUE(live.ok()) << live.status().ToString();
+      EXPECT_EQ(live->plan.algorithm, AlgorithmKind::kLiveIndex);
+      ExpectSameRows(*live, *batch);
+
+      options.force_algorithm = AlgorithmKind::kColumnScan;
+      auto column = RunQuery(sql, catalog_, options);
+      ASSERT_TRUE(column.ok()) << column.status().ToString();
+      EXPECT_EQ(column->plan.algorithm, AlgorithmKind::kColumnScan);
+      ExpectSameRows(*column, *batch);
+    }
+  }
+}
+
 TEST_F(ExecutorTest, ForcedColumnScanWithoutBackingFails) {
   ExecutorOptions options;
   options.force_algorithm = AlgorithmKind::kColumnScan;
@@ -664,12 +757,12 @@ TEST_F(ExecutorTest, ForcedColumnScanWithoutBackingFails) {
 }
 
 TEST_F(ExecutorTest, ExplainReportsLiveIndexPlan) {
-  LiveService service;
+  shard::ShardedLiveService service;
   ASSERT_TRUE(
       service.RegisterIndex(catalog_, "employed", AggregateKind::kCount)
           .ok());
   ExecutorOptions options;
-  options.live_service = &service;
+  options.sharded_service = &service;
   auto result =
       RunQuery("EXPLAIN SELECT COUNT(*) FROM employed", catalog_, options);
   ASSERT_TRUE(result.ok());
