@@ -9,10 +9,13 @@
 //     spill_to_disk in {false, true} at 16K and 1M tuples.  Both phases
 //     (sharded routing, per-region builds) parallelize; per-region spill
 //     files make the spill X parallel combination legal.
-//   * Kernel: the phase-2 kernels — the Section 5.1 aggregation tree
-//     (MAX, which has no inverse) and the columnar SoA sweep (COUNT, SUM)
-//     in both dispatch modes (forced scalar and the AVX2 body, which
+//   * Kernel: the phase-2 kernels — the Section 7 balanced aggregation
+//     tree (MAX, which has no inverse) and the columnar SoA sweep (COUNT,
+//     SUM) in both dispatch modes (forced scalar and the AVX2 body, which
 //     silently equals scalar on hardware without AVX2).
+//   * KOrderedMax: MAX (the balanced-tree kernel) over a k-ordered
+//     relation, the input on which the Section 5.1 tree's build turns
+//     quadratic per region.  The 3x baseline gate catches its return.
 //   * SpillBytes: the compressed-spill ablation — identical spilled
 //     evaluations with the temporal-column codec on and off, reporting
 //     raw vs. encoded spill bytes and the compression ratio from the obs
@@ -129,7 +132,7 @@ void ParallelSpillArgs(benchmark::internal::Benchmark* b) {
 
 // Phase-2 kernels, one family per range(1) value.  The kernel follows
 // from the aggregate, picked by range(2) (0 = COUNT, 1 = SUM, 2 = MAX):
-//   0 = tree            (Section 5.1 aggregation tree; MAX)
+//   0 = tree            (Section 7 balanced aggregation tree; MAX)
 //   1 = columnar-scalar (SoA radix sort, scalar body forced; COUNT, SUM)
 //   2 = columnar-simd   (SoA radix sort, AVX2 body via runtime dispatch;
 //                        identical to columnar-scalar on non-AVX2 hosts)
@@ -179,6 +182,42 @@ void BM_Partitioned_Kernel(benchmark::State& state) {
   }
   state.SetLabel(std::string(family.name) + "/" +
                  std::string(AggregateKindToString(kind)));
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(n));
+}
+
+// MAX over a k-ordered relation (k = 64, 2% displaced, as in the repo
+// benchmark's `kord`) in 4 regions on one thread: regions of thousands of
+// nearly sorted entries, where an unbalanced tree's build is quadratic
+// (11x slower than the balanced kernel at 16K tuples).
+void BM_Partitioned_KOrderedMax(benchmark::State& state) {
+  const auto n = static_cast<size_t>(state.range(0));
+  static std::map<size_t, Relation> cache;
+  auto it = cache.find(n);
+  if (it == cache.end()) {
+    WorkloadSpec spec;
+    spec.num_tuples = n;
+    spec.order = TupleOrder::kKOrdered;
+    spec.k = 64;
+    spec.k_percentage = 0.02;
+    spec.seed = 42;
+    it = cache.emplace(n, GenerateEmployedRelation(spec).value()).first;
+  }
+  size_t work_steps = 0;
+  for (auto _ : state) {
+    PartitionedOptions options;
+    options.partitions = 4;
+    options.aggregate = AggregateKind::kMax;
+    options.attribute = 1;
+    auto series = ComputePartitionedAggregate(it->second, options);
+    if (!series.ok()) {
+      state.SkipWithError(series.status().ToString().c_str());
+      return;
+    }
+    bench::KeepAlive(series->intervals);
+    work_steps = series->stats.work_steps;
+  }
+  state.counters["work_steps"] = static_cast<double>(work_steps);
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(n));
 }
@@ -257,6 +296,10 @@ BENCHMARK(BM_Partitioned_ParallelSpill)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Partitioned_Kernel)
     ->Apply(KernelArgs)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Partitioned_KOrderedMax)
+    ->Arg(1 << 14)
+    ->Arg(1 << 16)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Partitioned_SpillBytes)
     ->ArgsProduct({{1 << 14, 1 << 20}, {0, 1}})

@@ -36,13 +36,21 @@ class BalancedTreeAggregator {
   using State = typename Op::State;
 
   explicit BalancedTreeAggregator(Op op = Op())
-      : op_(std::move(op)), arena_(sizeof(Node)) {
+      : BalancedTreeAggregator(kOrigin, kForever, std::move(op)) {}
+
+  /// A tree over the domain [lo, hi] only: Add rejects a period outside
+  /// it, and the output partitions it.  A period covering the whole
+  /// domain lands on the root in one step instead of O(log n) nodes.
+  BalancedTreeAggregator(Instant lo, Instant hi, Op op = Op())
+      : op_(std::move(op)), arena_(sizeof(Node)), lo_(lo), hi_(hi) {
     root_ = NewLeaf();
   }
 
   Status Add(const Period& valid, typename Op::Input input) {
-    root_ = Insert(root_, kOrigin, kForever, valid.start(), valid.end(),
-                   input);
+    if (valid.start() < lo_ || valid.end() > hi_) {
+      return Status::InvalidArgument("period outside the tree's domain");
+    }
+    root_ = Insert(root_, lo_, hi_, valid.start(), valid.end(), input);
     ++tuples_;
     return Status::OK();
   }
@@ -68,7 +76,7 @@ class BalancedTreeAggregator {
   int height() const { return Height(root_); }
 
   /// Structural invariant check: AVL balance and splits inside ranges.
-  Status Validate() const { return ValidateNode(root_, kOrigin, kForever); }
+  Status Validate() const { return ValidateNode(root_, lo_, hi_); }
 
  private:
   struct Node {
@@ -177,7 +185,7 @@ class BalancedTreeAggregator {
       State acc;
     };
     std::vector<Frame> stack;
-    stack.push_back({root_, kOrigin, kForever, op_.Identity()});
+    stack.push_back({root_, lo_, hi_, op_.Identity()});
     while (!stack.empty()) {
       const Frame f = stack.back();
       stack.pop_back();
@@ -215,6 +223,8 @@ class BalancedTreeAggregator {
 
   Op op_;
   NodeArena arena_;
+  Instant lo_;
+  Instant hi_;
   Node* root_;
   size_t work_steps_ = 0;
   size_t tuples_ = 0;

@@ -8,7 +8,7 @@
 #include <type_traits>
 #include <vector>
 
-#include "core/aggregation_tree.h"
+#include "core/balanced_tree.h"
 #include "core/sweep_columnar.h"
 #include "obs/metrics.h"
 #include "util/cpu_features.h"
@@ -21,39 +21,6 @@ struct ClippedEntry {
   Instant start;
   Instant end;
   double input;
-};
-
-/// Whether Op's state forms a group, and how to rebuild a state from the
-/// sweep's (sum, active-count) accumulator — the same contract as the
-/// partitioned kernel's SweepTraits (core/partitioned_agg.cc).  The
-/// summary baseline of fully-covering blocks is added to every segment's
-/// accumulator before Make, which is exactly the group property pruning
-/// relies on.
-template <typename Op>
-struct ScanTraits {
-  static constexpr bool kInvertible = false;
-};
-
-template <>
-struct ScanTraits<CountOp> {
-  static constexpr bool kInvertible = true;
-  static CountOp::State Make(double /*sum*/, int64_t n) { return n; }
-};
-
-template <>
-struct ScanTraits<SumOp> {
-  static constexpr bool kInvertible = true;
-  static SumOp::State Make(double sum, int64_t n) {
-    return {n > 0 ? sum : 0.0, n > 0};
-  }
-};
-
-template <>
-struct ScanTraits<AvgOp> {
-  static constexpr bool kInvertible = true;
-  static AvgOp::State Make(double sum, int64_t n) {
-    return {n > 0 ? sum : 0.0, n};
-  }
 };
 
 /// The footer summary of one block as an Op state (MIN/MAX only: the
@@ -102,7 +69,6 @@ void PublishScanStats(const ColumnScanStats& stats) {
 /// Per-worker decode state: blocks are work-stolen off one atomic cursor
 /// and decoded straight into these buffers — no Tuple materialization, no
 /// shared mutable state until the post-join merge.
-template <typename State>
 struct DecodeSlot {
   EventColumns cols;                  // invertible path
   std::vector<ClippedEntry> entries;  // MIN/MAX path
@@ -115,7 +81,7 @@ Result<AggregateSeries> RunColumnScan(const ColumnRelation& relation,
                                       const ColumnScanOptions& options,
                                       ColumnScanStats* stats_out) {
   using State = typename Op::State;
-  constexpr bool kInvertible = ScanTraits<Op>::kInvertible;
+  constexpr bool kInvertible = SweepTraits<Op>::kInvertible;
   constexpr bool kCountOnly = std::is_same_v<Op, CountOp>;
   const Instant qlo = options.window.start();
   const Instant qhi = options.window.end();
@@ -172,10 +138,10 @@ Result<AggregateSeries> RunColumnScan(const ColumnRelation& relation,
       std::max<size_t>(1, std::min(std::max<size_t>(
                                        options.parallel_workers, 1),
                                    std::max<size_t>(decode_list.size(), 1)));
-  std::vector<DecodeSlot<State>> slots(workers);
+  std::vector<DecodeSlot> slots(workers);
   std::atomic<size_t> next{0};
   auto decode_worker = [&](size_t w) {
-    DecodeSlot<State>& slot = slots[w];
+    DecodeSlot& slot = slots[w];
     auto reader = relation.NewReader();
     if (!reader.ok()) {
       slot.status = reader.status();
@@ -226,7 +192,7 @@ Result<AggregateSeries> RunColumnScan(const ColumnRelation& relation,
     for (std::thread& th : pool) th.join();
   }
   size_t events_total = 0;
-  for (DecodeSlot<State>& slot : slots) {
+  for (DecodeSlot& slot : slots) {
     TAGG_RETURN_IF_ERROR(slot.status);
     stats.blocks_decoded += slot.stats.blocks_decoded;
     stats.bytes_decoded += slot.stats.bytes_decoded;
@@ -242,7 +208,7 @@ Result<AggregateSeries> RunColumnScan(const ColumnRelation& relation,
   if constexpr (kInvertible) {
     EventColumns all;
     all.reserve(events_total, !kCountOnly);
-    for (DecodeSlot<State>& slot : slots) {
+    for (DecodeSlot& slot : slots) {
       all.at.insert(all.at.end(), slot.cols.at.begin(), slot.cols.at.end());
       all.dv.insert(all.dv.end(), slot.cols.dv.begin(), slot.cols.dv.end());
       all.dn.insert(all.dn.end(), slot.cols.dn.begin(), slot.cols.dn.end());
@@ -263,13 +229,15 @@ Result<AggregateSeries> RunColumnScan(const ColumnRelation& relation,
     series.intervals.reserve(lo.size());
     for (size_t i = 0; i < lo.size(); ++i) {
       const State state =
-          ScanTraits<Op>::Make(sums[i] + base_sum, ns[i] + base_n);
+          SweepTraits<Op>::Make(sums[i] + base_sum, ns[i] + base_n);
       series.intervals.push_back({Period(lo[i], hi[i]),
                                   Op::Finalize(state)});
     }
   } else {
-    AggregationTreeAggregator<Op> tree;
-    for (DecodeSlot<State>& slot : slots) {
+    // The tree spans the window only: a row covering all of it costs one
+    // step at the root, like a summarized block.
+    BalancedTreeAggregator<Op> tree(qlo, qhi);
+    for (DecodeSlot& slot : slots) {
       for (const ClippedEntry& e : slot.entries) {
         TAGG_RETURN_IF_ERROR(tree.Add(Period(e.start, e.end), e.input));
       }
@@ -279,12 +247,9 @@ Result<AggregateSeries> RunColumnScan(const ColumnRelation& relation,
                           tree.FinishTyped());
     series.intervals.reserve(typed.size());
     for (const TypedInterval<State>& ti : typed) {
-      // The tree's output covers [kOrigin, kForever]; clamp to the window.
-      const Instant lo = std::max(ti.start, qlo);
-      const Instant hi = std::min(ti.end, qhi);
-      if (lo > hi) continue;
       const State state = Op::Combine(ti.state, base_state);
-      series.intervals.push_back({Period(lo, hi), Op::Finalize(state)});
+      series.intervals.push_back({Period(ti.start, ti.end),
+                                  Op::Finalize(state)});
     }
   }
 

@@ -10,7 +10,7 @@
 #include <type_traits>
 #include <vector>
 
-#include "core/aggregation_tree.h"
+#include "core/balanced_tree.h"
 #include "core/node_arena.h"
 #include "core/sweep_columnar.h"
 #include "obs/metrics.h"
@@ -56,38 +56,6 @@ TemporalColumnLayout EventLayout() {
   return {{Field::kTime, Field::kDouble, Field::kInt}};
 }
 
-/// Whether Op's state forms a group (has an inverse) — which picks the
-/// phase-2 kernel — and how to rebuild a state from the columnar sweep's
-/// running (sum, active-count) segments.  The sweeper resets the sum to
-/// exactly 0.0 whenever the active count returns to zero, so an emptied
-/// interval reproduces Op::Identity() bit for bit.
-template <typename Op>
-struct SweepTraits {
-  static constexpr bool kInvertible = false;
-};
-
-template <>
-struct SweepTraits<CountOp> {
-  static constexpr bool kInvertible = true;
-  static CountOp::State Make(double /*sum*/, int64_t n) { return n; }
-};
-
-template <>
-struct SweepTraits<SumOp> {
-  static constexpr bool kInvertible = true;
-  static SumOp::State Make(double sum, int64_t n) {
-    return {n > 0 ? sum : 0.0, n > 0};
-  }
-};
-
-template <>
-struct SweepTraits<AvgOp> {
-  static constexpr bool kInvertible = true;
-  static AvgOp::State Make(double sum, int64_t n) {
-    return {n > 0 ? sum : 0.0, n};
-  }
-};
-
 int64_t ElapsedNs(std::chrono::steady_clock::time_point since) {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now() - since)
@@ -118,7 +86,7 @@ Result<AggregateSeries> RunPartitioned(const Relation& relation,
                                        const PartitionedOptions& options) {
   using State = typename Op::State;
   // The kernel follows from the aggregate: the columnar sweep when the
-  // state is invertible, the aggregation tree otherwise.
+  // state is invertible, the balanced aggregation tree otherwise.
   constexpr bool kInvertible = SweepTraits<Op>::kInvertible;
   const SimdLevel simd = options.force_scalar_kernel ? SimdLevel::kScalar
                                                      : ActiveSimdLevel();
@@ -347,7 +315,7 @@ Result<AggregateSeries> RunPartitioned(const Relation& relation,
       "tagg_partitioned_regions_total", "Regions evaluated in phase 2");
   obs::Counter& tree_regions = obs::MetricsRegistry::Global().GetCounter(
       "tagg_partitioned_tree_regions_total",
-      "Regions built with the aggregation-tree kernel");
+      "Regions built with the balanced aggregation-tree kernel");
   obs::Counter& columnar_regions = obs::MetricsRegistry::Global().GetCounter(
       "tagg_partitioned_columnar_regions_total",
       "Regions built with the columnar sweep kernel");
@@ -359,7 +327,9 @@ Result<AggregateSeries> RunPartitioned(const Relation& relation,
       "Columnar regions dispatched to the scalar body");
 
   auto build_tree_region = [&](size_t r) {
-    AggregationTreeAggregator<Op> tree;
+    // The tree spans the region only, so an entry covering the whole
+    // region (a long-lived tuple) costs one step at the root.
+    BalancedTreeAggregator<Op> tree(boundaries[r], region_end(r));
     Status st;
     if (!spill) {
       for (size_t w = 0; w < workers && st.ok(); ++w) {
@@ -595,12 +565,9 @@ Result<AggregateSeries> RunPartitioned(const Relation& relation,
     if (artificial_join) ++artificial_joins;
     bool first_in_region = true;
     for (const TypedInterval<State>& ti : typed) {
-      // A tree kernel's output covers [kOrigin, kForever]; only the
-      // region's range is meaningful.  (The columnar sweep emits exactly
-      // the region's range, so the clamp is a no-op there.)
-      const Instant lo = std::max(ti.start, boundaries[r]);
-      const Instant hi = std::min(ti.end, region_end(r));
-      if (lo > hi) continue;
+      // Both kernels emit exactly the region's range.
+      const Instant lo = ti.start;
+      const Instant hi = ti.end;
       const Value value = Op::Finalize(ti.state);
       if (artificial_join && first_in_region &&
           !series.intervals.empty()) {

@@ -28,9 +28,10 @@
 //     follows from the aggregate: the columnar endpoint sweep
 //     (core/sweep_columnar) for the group-invertible COUNT, SUM and AVG —
 //     a closing endpoint subtracts what the opening endpoint added — and
-//     the Section 5.1 aggregation tree for MIN/MAX, whose states have no
-//     inverse (an expiring maximum cannot be "subtracted" without the
-//     remaining set).
+//     the Section 7 balanced aggregation tree (core/balanced_tree) for
+//     MIN/MAX, whose states have no inverse (an expiring maximum cannot be
+//     "subtracted" without the remaining set) and whose build stays
+//     O(n log n) on sorted regions, where the Section 5.1 tree's is O(n^2).
 //
 // A region boundary that no tuple starts or ends at is *artificial*: both
 // sides belong to the same constant interval, so the per-region results

@@ -40,6 +40,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/aggregates.h"
 #include "temporal/instant.h"
 #include "util/cpu_features.h"
 
@@ -138,6 +139,39 @@ class ColumnarSweeper {
   std::vector<Instant> seg_hi_;
   std::vector<double> seg_sum_;
   std::vector<int64_t> seg_n_;
+};
+
+/// Whether Op's state forms a group (has an inverse) — which picks the
+/// sweep over the tree in the partitioned path and the column scan — and
+/// how to rebuild a state from the sweep's running (sum, active-count)
+/// segments.  The sweeper resets the sum to exactly 0.0 whenever the
+/// active count returns to zero, so an emptied interval reproduces
+/// Op::Identity() bit for bit.
+template <typename Op>
+struct SweepTraits {
+  static constexpr bool kInvertible = false;
+};
+
+template <>
+struct SweepTraits<CountOp> {
+  static constexpr bool kInvertible = true;
+  static CountOp::State Make(double /*sum*/, int64_t n) { return n; }
+};
+
+template <>
+struct SweepTraits<SumOp> {
+  static constexpr bool kInvertible = true;
+  static SumOp::State Make(double sum, int64_t n) {
+    return {n > 0 ? sum : 0.0, n > 0};
+  }
+};
+
+template <>
+struct SweepTraits<AvgOp> {
+  static constexpr bool kInvertible = true;
+  static AvgOp::State Make(double sum, int64_t n) {
+    return {n > 0 ? sum : 0.0, n};
+  }
 };
 
 }  // namespace tagg

@@ -139,6 +139,18 @@ std::shared_ptr<const ColumnRelation> FreshColumnBacking(
   return backing;
 }
 
+/// Appends a row to `rows`; with options.coalesce (TSQL2 coalescing) a
+/// row equal to the last one over a period it meets extends that row.
+void AppendRow(std::vector<QueryResultRow>& rows, std::vector<Value> values,
+               const Period& valid, const ExecutorOptions& options) {
+  if (options.coalesce && !rows.empty() && rows.back().values == values &&
+      rows.back().valid.MeetsBefore(valid)) {
+    rows.back().valid = Period(rows.back().valid.start(), valid.end());
+    return;
+  }
+  rows.push_back({std::move(values), valid});
+}
+
 /// Result rows of a single aggregate's series, with empty intervals
 /// dropped and equal neighbours coalesced exactly as the batch path does.
 std::vector<QueryResultRow> SeriesRows(std::vector<ResultInterval> intervals,
@@ -149,13 +161,7 @@ std::vector<QueryResultRow> SeriesRows(std::vector<ResultInterval> intervals,
   rows.reserve(intervals.size());
   for (ResultInterval& ri : intervals) {
     if (options.drop_empty && ri.value == empty) continue;
-    if (options.coalesce && !rows.empty() &&
-        rows.back().values[0] == ri.value &&
-        rows.back().valid.MeetsBefore(ri.period)) {
-      rows.back().valid = Period(rows.back().valid.start(), ri.period.end());
-      continue;
-    }
-    rows.push_back({{std::move(ri.value)}, ri.period});
+    AppendRow(rows, {std::move(ri.value)}, ri.period, options);
   }
   return rows;
 }
@@ -314,27 +320,25 @@ Result<QueryResult> ExecuteSelect(const BoundQuery& query,
         "the aggregated attribute");
   }
 
-  // 1. Filter.
+  // 1. Filter.  Without WHERE the relation is aggregated in place.
   obs::Span filter_span(profile, "filter");
   Relation filtered(relation.schema(), relation.name());
-  if (query.where == nullptr) {
-    filtered = relation;
-  } else {
+  if (query.where != nullptr) {
     for (const Tuple& t : relation) {
       TAGG_ASSIGN_OR_RETURN(bool keep, EvalPredicate(*query.where, t));
       if (keep) filtered.AppendUnchecked(t);
     }
   }
+  const Relation& input = query.where == nullptr ? relation : filtered;
   filter_span.Annotate("tuples_in", relation.size());
-  filter_span.Annotate("tuples_out", filtered.size());
+  filter_span.Annotate("tuples_out", input.size());
   filter_span.End();
 
   // 2. Plan (Section 6.3 rules, unless overridden).
   obs::Span plan_span(profile, "plan");
   PlannerInput planner_input;
-  planner_input.num_tuples = filtered.size();
-  planner_input.sorted =
-      query.stats.known_sorted || filtered.IsSortedByTime();
+  planner_input.num_tuples = input.size();
+  planner_input.sorted = query.stats.known_sorted || input.IsSortedByTime();
   planner_input.declared_k = query.stats.declared_k;
   planner_input.memory_budget_bytes = options.memory_budget_bytes;
   if (query.temporal.kind == TemporalGrouping::Kind::kSpan &&
@@ -392,18 +396,22 @@ Result<QueryResult> ExecuteSelect(const BoundQuery& query,
   }
 
   // 3. Group by value (Section 4.1's aggregation sets), preserving tuple
-  // order within each group so sortedness properties survive.
+  // order within each group so sortedness properties survive.  Without
+  // GROUP BY the one group is the input itself (none when it is empty).
   obs::Span group_span(profile, "group");
   std::map<std::vector<Value>, std::vector<size_t>, GroupKeyLess> groups;
-  for (size_t i = 0; i < filtered.size(); ++i) {
-    std::vector<Value> key;
-    key.reserve(query.group_attributes.size());
-    for (size_t attr : query.group_attributes) {
-      key.push_back(filtered.tuple(i).value(attr));
+  if (!query.group_attributes.empty()) {
+    for (size_t i = 0; i < input.size(); ++i) {
+      std::vector<Value> key;
+      key.reserve(query.group_attributes.size());
+      for (size_t attr : query.group_attributes) {
+        key.push_back(input.tuple(i).value(attr));
+      }
+      groups[std::move(key)].push_back(i);
     }
-    groups[std::move(key)].push_back(i);
   }
-  group_span.Annotate("groups", groups.size());
+  const bool single_group = query.group_attributes.empty() && !input.empty();
+  group_span.Annotate("groups", single_group ? 1 : groups.size());
   group_span.End();
 
   // Span grouping shares one window across groups: explicit bounds, or the
@@ -415,12 +423,12 @@ Result<QueryResult> ExecuteSelect(const BoundQuery& query,
                             Period::Make(query.temporal.window_start,
                                          query.temporal.window_end));
     } else {
-      if (filtered.empty()) {
+      if (input.empty()) {
         return Status::InvalidArgument(
             "span grouping without FROM/TO requires a non-empty relation "
             "to derive the window");
       }
-      TAGG_ASSIGN_OR_RETURN(span_window, filtered.Lifespan());
+      TAGG_ASSIGN_OR_RETURN(span_window, input.Lifespan());
     }
   }
 
@@ -431,19 +439,48 @@ Result<QueryResult> ExecuteSelect(const BoundQuery& query,
     result.column_names.push_back(col.name);
   }
 
-  // 4. Aggregate each group and zip the per-aggregate series.
+  // 4. Aggregate each group and append its rows in one pass that drops
+  // empty rows, projects the output columns and coalesces neighbours.
   obs::Span agg_span(profile, "aggregate");
   ExecutionStats agg_stats;  // accumulated across groups
   agg_stats.relation_scans = 0;
   size_t intervals_total = 0;
-  for (const auto& [key, indices] : groups) {
-    Relation group_relation(filtered.schema(), filtered.name());
-    group_relation.Reserve(indices.size());
-    for (size_t i : indices) {
-      group_relation.AppendUnchecked(filtered.tuple(i));
+  std::vector<Value> empty_row;
+  for (const BoundAggregate& agg : query.aggregates) {
+    empty_row.push_back(EmptyValueOf(agg.kind));
+  }
+  // Output columns that are exactly the aggregates in order need no copy.
+  bool aggregates_in_order = query.columns.size() == query.aggregates.size();
+  for (size_t c = 0; aggregates_in_order && c < query.columns.size(); ++c) {
+    aggregates_in_order =
+        query.columns[c].is_aggregate && query.columns[c].index == c;
+  }
+  auto append_row = [&](std::vector<Value> values, const Period& valid,
+                        const std::vector<Value>& key) {
+    if (options.drop_empty && values == empty_row) return;
+    if (!aggregates_in_order) {
+      std::vector<Value> projected;
+      projected.reserve(query.columns.size());
+      for (const BoundOutputColumn& col : query.columns) {
+        projected.push_back(col.is_aggregate ? values[col.index]
+                                             : key[col.index]);
+      }
+      values = std::move(projected);
     }
+    AppendRow(result.rows, std::move(values), valid, options);
+  };
+  auto absorb_stats = [&](const ExecutionStats& stats) {
+    agg_stats.work_steps += stats.work_steps;
+    agg_stats.nodes_allocated += stats.nodes_allocated;
+    agg_stats.peak_live_nodes =
+        std::max(agg_stats.peak_live_nodes, stats.peak_live_nodes);
+    agg_stats.peak_paper_bytes =
+        std::max(agg_stats.peak_paper_bytes, stats.peak_paper_bytes);
+    agg_stats.tree_depth = std::max(agg_stats.tree_depth, stats.tree_depth);
+  };
 
-    MultiSeries zipped;
+  auto aggregate_group = [&](const Relation& group_relation,
+                             const std::vector<Value>& key) -> Status {
     if (query.temporal.kind == TemporalGrouping::Kind::kSpan) {
       // Span grouping: fixed buckets, one series per aggregate, zipped
       // (boundaries are the spans, identical by construction).
@@ -462,16 +499,19 @@ Result<QueryResult> ExecuteSelect(const BoundQuery& query,
         agg_stats.nodes_allocated += series.stats.nodes_allocated;
         per_aggregate.push_back(std::move(series));
       }
-      for (size_t i = 0; i < per_aggregate[0].intervals.size(); ++i) {
-        zipped.periods.push_back(per_aggregate[0].intervals[i].period);
+      const std::vector<ResultInterval>& spans = per_aggregate[0].intervals;
+      for (size_t i = 0; i < spans.size(); ++i) {
         std::vector<Value> row;
         row.reserve(per_aggregate.size());
-        for (const AggregateSeries& s : per_aggregate) {
-          row.push_back(s.intervals[i].value);
+        for (AggregateSeries& s : per_aggregate) {
+          row.push_back(std::move(s.intervals[i].value));
         }
-        zipped.values.push_back(std::move(row));
+        append_row(std::move(row), spans[i].period, key);
       }
-    } else if (plan.algorithm == AlgorithmKind::kPartitioned) {
+      intervals_total += spans.size();
+      return Status::OK();
+    }
+    if (plan.algorithm == AlgorithmKind::kPartitioned) {
       // Parallel partitioned path: one aggregate, evaluated region by
       // region with `workers` threads in both phases.
       PartitionedRoutedTotal().Increment();
@@ -486,76 +526,48 @@ Result<QueryResult> ExecuteSelect(const BoundQuery& query,
       TAGG_ASSIGN_OR_RETURN(
           AggregateSeries series,
           ComputePartitionedAggregate(group_relation, popts));
-      zipped.periods.reserve(series.intervals.size());
-      zipped.values.reserve(series.intervals.size());
+      absorb_stats(series.stats);
+      intervals_total += series.intervals.size();
       for (ResultInterval& ri : series.intervals) {
-        zipped.periods.push_back(ri.period);
-        zipped.values.push_back({std::move(ri.value)});
+        append_row({std::move(ri.value)}, ri.period, key);
       }
-      agg_stats.work_steps += series.stats.work_steps;
-      agg_stats.nodes_allocated += series.stats.nodes_allocated;
-      agg_stats.peak_live_nodes =
-          std::max(agg_stats.peak_live_nodes, series.stats.peak_live_nodes);
-      agg_stats.peak_paper_bytes = std::max(agg_stats.peak_paper_bytes,
-                                            series.stats.peak_paper_bytes);
-    } else {
-      // Instant grouping: all aggregates fused into one algorithm pass
-      // (MultiOp), so the constant intervals are computed once per group
-      // rather than once per aggregate.
-      MultiAggregateOptions multi;
-      multi.specs.reserve(query.aggregates.size());
-      for (const BoundAggregate& agg : query.aggregates) {
-        multi.specs.push_back({agg.kind, agg.attribute});
-      }
-      multi.algorithm = plan.algorithm;
-      multi.k = plan.k;
-      multi.presort = plan.presort;
-      auto series = ComputeMultiAggregate(group_relation, multi);
-      if (!series.ok() && series.status().IsInvalidArgument() &&
-          plan.algorithm == AlgorithmKind::kKOrderedTree && !plan.presort) {
-        // The declared k-ordering was wrong for this partition; fall back
-        // to the paper's safe strategy: sort, then k = 1.
-        multi.presort = true;
-        multi.k = 1;
-        series = ComputeMultiAggregate(group_relation, multi);
-      }
-      if (!series.ok()) return series.status();
-      zipped = std::move(series).value();
-      agg_stats.work_steps += zipped.stats.work_steps;
-      agg_stats.nodes_allocated += zipped.stats.nodes_allocated;
-      agg_stats.peak_live_nodes =
-          std::max(agg_stats.peak_live_nodes, zipped.stats.peak_live_nodes);
-      agg_stats.peak_paper_bytes = std::max(agg_stats.peak_paper_bytes,
-                                            zipped.stats.peak_paper_bytes);
-      agg_stats.tree_depth =
-          std::max(agg_stats.tree_depth, zipped.stats.tree_depth);
+      return Status::OK();
     }
-    intervals_total += zipped.periods.size();
+    // Instant grouping: all aggregates fused into one algorithm pass
+    // (MultiOp), so the constant intervals are computed once per group
+    // rather than once per aggregate.
+    MultiAggregateOptions multi;
+    multi.specs.reserve(query.aggregates.size());
+    for (const BoundAggregate& agg : query.aggregates) {
+      multi.specs.push_back({agg.kind, agg.attribute});
+    }
+    multi.algorithm = plan.algorithm;
+    multi.k = plan.k;
+    multi.presort = plan.presort;
+    auto series = ComputeMultiAggregate(group_relation, multi);
+    if (!series.ok() && series.status().IsInvalidArgument() &&
+        plan.algorithm == AlgorithmKind::kKOrderedTree && !plan.presort) {
+      // The declared k-ordering was wrong for this partition; fall back
+      // to the paper's safe strategy: sort, then k = 1.
+      multi.presort = true;
+      multi.k = 1;
+      series = ComputeMultiAggregate(group_relation, multi);
+    }
+    if (!series.ok()) return series.status();
+    absorb_stats(series->stats);
+    intervals_total += series->periods.size();
+    for (size_t i = 0; i < series->periods.size(); ++i) {
+      append_row(std::move(series->values[i]), series->periods[i], key);
+    }
+    return Status::OK();
+  };
 
-    for (size_t i = 0; i < zipped.periods.size(); ++i) {
-      if (options.drop_empty) {
-        bool all_empty = true;
-        for (size_t a = 0; a < zipped.values[i].size(); ++a) {
-          if (zipped.values[i][a] !=
-              EmptyValueOf(query.aggregates[a].kind)) {
-            all_empty = false;
-            break;
-          }
-        }
-        if (all_empty) continue;
-      }
-      QueryResultRow row;
-      row.valid = zipped.periods[i];
-      row.values.reserve(query.columns.size());
-      for (const BoundOutputColumn& col : query.columns) {
-        if (col.is_aggregate) {
-          row.values.push_back(zipped.values[i][col.index]);
-        } else {
-          row.values.push_back(key[col.index]);
-        }
-      }
-      result.rows.push_back(std::move(row));
-    }
+  if (single_group) TAGG_RETURN_IF_ERROR(aggregate_group(input, {}));
+  for (const auto& [key, indices] : groups) {
+    Relation group_relation(input.schema(), input.name());
+    group_relation.Reserve(indices.size());
+    for (size_t i : indices) group_relation.AppendUnchecked(input.tuple(i));
+    TAGG_RETURN_IF_ERROR(aggregate_group(group_relation, key));
   }
   agg_span.Annotate("intervals", intervals_total);
   agg_span.Annotate("work_steps", agg_stats.work_steps);
@@ -564,27 +576,6 @@ Result<QueryResult> ExecuteSelect(const BoundQuery& query,
   agg_span.Annotate("paper_bytes", agg_stats.peak_paper_bytes);
   agg_span.Annotate("tree_depth", agg_stats.tree_depth);
   agg_span.End();
-
-  // 5. Optional TSQL2 coalescing of adjacent identical rows.  Rows of one
-  // group are consecutive and different groups differ in their grouping
-  // values, so a single pass cannot merge across groups.
-  if (options.coalesce && !result.rows.empty()) {
-    obs::Span coalesce_span(profile, "coalesce");
-    const size_t rows_in = result.rows.size();
-    std::vector<QueryResultRow> coalesced;
-    for (QueryResultRow& row : result.rows) {
-      if (!coalesced.empty() && coalesced.back().values == row.values &&
-          coalesced.back().valid.MeetsBefore(row.valid)) {
-        coalesced.back().valid =
-            Period(coalesced.back().valid.start(), row.valid.end());
-      } else {
-        coalesced.push_back(std::move(row));
-      }
-    }
-    result.rows = std::move(coalesced);
-    coalesce_span.Annotate("rows_in", rows_in);
-    coalesce_span.Annotate("rows_out", result.rows.size());
-  }
 
   exec_span.Annotate("rows_out", result.rows.size());
   return result;

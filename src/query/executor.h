@@ -49,7 +49,7 @@ struct ExecutorOptions {
   /// force_algorithm names another algorithm, fall back transparently.
   const shard::ShardedLiveService* sharded_service = nullptr;
   /// When set, the executor records a span per pipeline stage (filter,
-  /// plan, group, aggregate, coalesce) into this profile.  Null disables
+  /// plan, group, aggregate) into this profile.  Null disables
   /// tracing at zero cost; RunQuery supplies one automatically.
   obs::QueryProfile* profile = nullptr;
 };

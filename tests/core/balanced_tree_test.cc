@@ -19,6 +19,26 @@ TEST(BalancedTreeTest, EmptyInput) {
   EXPECT_EQ((*out)[0], (TypedInterval<int64_t>{kOrigin, kForever, 0}));
 }
 
+TEST(BalancedTreeTest, DomainTreePartitionsItsDomain) {
+  // A tree over [10, 40] emits exactly that range, and a period covering
+  // the whole domain lands on the root in one step.
+  BalancedTreeAggregator<CountOp> agg(10, 40);
+  ASSERT_TRUE(agg.Add(Period(15, 20), 0).ok());
+  ASSERT_TRUE(agg.FinishTyped().ok());
+  const size_t steps = agg.stats().work_steps;
+  ASSERT_TRUE(agg.Add(Period(10, 40), 0).ok());
+  ASSERT_TRUE(agg.Validate().ok());
+  auto out = agg.FinishTyped();
+  ASSERT_TRUE(out.ok());
+  EXPECT_EQ(agg.stats().work_steps, steps + 1);
+  ASSERT_EQ(out->size(), 3u);
+  EXPECT_EQ((*out)[0], (TypedInterval<int64_t>{10, 14, 1}));
+  EXPECT_EQ((*out)[1], (TypedInterval<int64_t>{15, 20, 2}));
+  EXPECT_EQ((*out)[2], (TypedInterval<int64_t>{21, 40, 1}));
+  EXPECT_TRUE(agg.Add(Period(5, 12), 0).IsInvalidArgument());
+  EXPECT_TRUE(agg.Add(Period(35, 41), 0).IsInvalidArgument());
+}
+
 TEST(BalancedTreeTest, EmployedCountsMatchKnownResult) {
   Relation employed = MakeFigure1EmployedRelation();
   AggregateOptions options;

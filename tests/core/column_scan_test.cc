@@ -323,6 +323,52 @@ TEST_F(ColumnScanTest, RejectsForeignAttributes) {
       ComputeColumnScanAggregate(*column_, options).status().IsNotSupported());
 }
 
+TEST(ColumnScanSortedTest, MinMaxWideWindowsMatchReference) {
+  // A column file holds its rows in start order, so the MIN/MAX kernel
+  // is fed time-sorted input: a 10% and a full window must still agree
+  // with the reference oracle at every boundary of both series.
+  const std::string path = TestPath("column_scan_sorted");
+  const Relation relation = ScanRelation(6000, 9);
+  auto column = WriteRelationToColumnFile(relation, path,
+                                          /*rows_per_block=*/256);
+  ASSERT_TRUE(column.ok()) << column.status().ToString();
+  for (const Period& window : {Period(45000, 54999), Period::All()}) {
+    // Rows missing the window cannot change its values; leaving them out
+    // keeps the quadratic oracle cheap on the narrow window.
+    Relation covering(relation.schema(), relation.name());
+    for (const Tuple& t : relation) {
+      if (t.valid().Overlaps(window)) covering.AppendUnchecked(t);
+    }
+    for (AggregateKind kind : {AggregateKind::kMin, AggregateKind::kMax}) {
+      SCOPED_TRACE(std::string(AggregateKindToString(kind)) + " window " +
+                   window.ToString());
+      ColumnScanOptions options;
+      options.aggregate = kind;
+      options.attribute = kColumnValueAttribute;
+      options.window = window;
+      auto scan = ComputeColumnScanAggregate(**column, options);
+      ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+      ExpectPartitions(*scan, window);
+      AggregateOptions reference_options;
+      reference_options.aggregate = kind;
+      reference_options.attribute = kColumnValueAttribute;
+      reference_options.algorithm = AlgorithmKind::kReference;
+      auto reference = ComputeTemporalAggregate(covering, reference_options);
+      ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+      for (const ResultInterval& ri : scan->intervals) {
+        EXPECT_EQ(ri.value, SeriesValueAt(*reference, ri.period.start()))
+            << "at " << ri.period.start();
+      }
+      for (const ResultInterval& ri : reference->intervals) {
+        const Instant t = std::max(ri.period.start(), window.start());
+        if (t > std::min(ri.period.end(), window.end())) continue;
+        EXPECT_EQ(SeriesValueAt(*scan, t), ri.value) << "at " << t;
+      }
+    }
+  }
+  fs::remove(path);
+}
+
 TEST(ColumnScanEmptyTest, EmptyRelationYieldsIdentitySeries) {
   const std::string path = TestPath("column_scan_empty");
   auto writer = ColumnRelationWriter::Create(path);

@@ -10,13 +10,17 @@
 //   * k-ordered tree with k=1 over sorted input: the live tree is tiny,
 //     so work is Theta(n);
 //   * linked list: Theta(n^2) regardless of order (head-first walks);
-//   * balanced tree: Theta(n log n) even on sorted input (Section 7);
+//   * balanced tree: Theta(n log n) even on sorted input (Section 7),
+//     including as the partitioned evaluation's MIN/MAX kernel;
 //   * long-lived tuples make the sorted aggregation tree CHEAPER
 //     (Section 6.1's "paradoxical" improvement).
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "core/aggregates.h"
+#include "core/partitioned_agg.h"
 #include "core/workload.h"
 
 namespace tagg {
@@ -113,6 +117,48 @@ TEST(ComplexityTest, BalancedTreeSortedIsLinearithmic) {
       GrowthRatio(AlgorithmKind::kBalancedTree, TupleOrder::kSorted, 4096);
   EXPECT_GT(ratio, 1.9);
   EXPECT_LT(ratio, 2.8);
+}
+
+/// Work steps of the partitioned MAX kernel (the balanced tree) over
+/// `relation`; they are deterministic for a fixed input, region count and
+/// worker count, so a second run must repeat them exactly.
+size_t PartitionedMaxWork(const Relation& relation) {
+  PartitionedOptions options;
+  options.aggregate = AggregateKind::kMax;
+  options.attribute = 1;
+  options.partitions = 12;
+  options.parallel_workers = 3;
+  auto first = ComputePartitionedAggregate(relation, options);
+  auto second = ComputePartitionedAggregate(relation, options);
+  EXPECT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_TRUE(second.ok()) << second.status().ToString();
+  if (!first.ok() || !second.ok()) return 0;
+  EXPECT_EQ(first->stats.work_steps, second->stats.work_steps);
+  return first->stats.work_steps;
+}
+
+TEST(ComplexityTest, PartitionedMaxOnSortedInputIsLinearithmic) {
+  // The partitioned MIN/MAX kernel is the balanced tree: each region's
+  // build stays O(n log n) on time-sorted input, where the Section 5.1
+  // tree would walk a right spine per insert.
+  const size_t n = 64 * 1024;
+  const size_t work = PartitionedMaxWork(Workload(n, TupleOrder::kSorted));
+  EXPECT_GT(work, n);
+  EXPECT_LE(static_cast<double>(work),
+            4.0 * static_cast<double>(n) * std::log2(static_cast<double>(n)));
+}
+
+TEST(ComplexityTest, PartitionedMaxLongLivedTuplesCostOneStepPerRegion) {
+  // A long-lived tuple covers most regions whole.  Each region's tree
+  // spans that region only, so a covering entry lands on the root in one
+  // step; a tree over all time would split it into O(log n) nodes.
+  const size_t n = 64 * 1024;
+  const size_t short_lived =
+      PartitionedMaxWork(Workload(n, TupleOrder::kRandom, 0.0));
+  const size_t long_lived =
+      PartitionedMaxWork(Workload(n, TupleOrder::kRandom, 0.8));
+  EXPECT_GT(long_lived, n);
+  EXPECT_LT(long_lived, 2 * short_lived);
 }
 
 TEST(ComplexityTest, KOrderedBeatsPlainTreeOnSortedInput) {

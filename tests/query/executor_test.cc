@@ -5,6 +5,12 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
+#include <map>
+#include <random>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/workload.h"
 #include "shard/sharded_service.h"
@@ -590,6 +596,140 @@ TEST_F(ExecutorTest, PlanSpanAnnotatesWorkers) {
   EXPECT_NE(result->profile->Find("route"), nullptr);
   EXPECT_NE(result->profile->Find("build"), nullptr);
   EXPECT_NE(result->profile->Find("stitch"), nullptr);
+}
+
+// A column of the reference query below: the group key, or an aggregate
+// of salary (COUNT counts every tuple).
+struct RefColumn {
+  bool is_key;
+  AggregateKind kind;
+};
+
+/// The rows a query must produce, computed the long way: the reference
+/// algorithm per group and per aggregate, zipped, with empty rows dropped,
+/// columns projected and equal neighbours coalesced in separate passes.
+std::vector<QueryResultRow> ReferenceRows(
+    const Relation& relation, const std::vector<RefColumn>& columns,
+    const std::function<bool(const Tuple&)>& where, bool group_by_name,
+    const ExecutorOptions& options) {
+  std::map<std::string, Relation> groups;
+  for (const Tuple& t : relation) {
+    if (!where(t)) continue;
+    const std::string key = group_by_name ? t.value(0).ToString() : "";
+    auto [it, fresh] = groups.try_emplace(key, relation.schema());
+    it->second.AppendUnchecked(t);
+  }
+  std::vector<QueryResultRow> rows;
+  for (const auto& [key, group] : groups) {
+    std::vector<AggregateSeries> series;
+    for (const RefColumn& col : columns) {
+      AggregateOptions direct;
+      direct.algorithm = AlgorithmKind::kReference;
+      direct.aggregate = col.is_key ? AggregateKind::kCount : col.kind;
+      direct.attribute = direct.aggregate == AggregateKind::kCount
+                             ? AggregateOptions::kNoAttribute
+                             : 1;
+      series.push_back(ComputeTemporalAggregate(group, direct).value());
+    }
+    for (size_t i = 0; i < series[0].intervals.size(); ++i) {
+      QueryResultRow row{{}, series[0].intervals[i].period};
+      bool all_empty = true;
+      for (size_t c = 0; c < columns.size(); ++c) {
+        if (columns[c].is_key) {
+          row.values.push_back(group.tuple(0).value(0));
+          continue;
+        }
+        const Value& v = series[c].intervals[i].value;
+        EXPECT_EQ(series[c].intervals[i].period, row.valid);
+        const Value empty = columns[c].kind == AggregateKind::kCount
+                                ? Value::Int(0)
+                                : Value::Null();
+        if (v != empty) all_empty = false;
+        row.values.push_back(v);
+      }
+      if (!(options.drop_empty && all_empty)) rows.push_back(std::move(row));
+    }
+  }
+  if (!options.coalesce) return rows;
+  std::vector<QueryResultRow> coalesced;
+  for (QueryResultRow& row : rows) {
+    if (!coalesced.empty() && coalesced.back().values == row.values &&
+        coalesced.back().valid.MeetsBefore(row.valid)) {
+      coalesced.back().valid =
+          Period(coalesced.back().valid.start(), row.valid.end());
+    } else {
+      coalesced.push_back(std::move(row));
+    }
+  }
+  return coalesced;
+}
+
+TEST(ExecutorRowPathsTest, EveryRowShapeMatchesTheBatchReference) {
+  // Three names and three salaries over short, often-meeting periods, so
+  // groups, empty gaps and coalescable neighbours all occur.
+  auto rel = std::make_shared<Relation>(EmployedSchema(), "staff");
+  std::mt19937_64 rng(7);
+  const char* const names[] = {"ann", "bob", "cy"};
+  for (int i = 0; i < 300; ++i) {
+    const Instant start = static_cast<Instant>(rng() % 3000);
+    const Instant end = start + static_cast<Instant>(rng() % 40);
+    rel->AppendUnchecked(Tuple({Value::String(names[rng() % 3]),
+                                Value::Int(1 + static_cast<int64_t>(rng() % 3))},
+                               Period(start, end)));
+  }
+  Catalog catalog;
+  ASSERT_TRUE(catalog.Register(rel).ok());
+
+  const auto all = [](const Tuple&) { return true; };
+  const auto kMax = AggregateKind::kMax;
+  const auto kCount = AggregateKind::kCount;
+  const struct {
+    const char* sql;
+    std::vector<RefColumn> columns;
+    std::function<bool(const Tuple&)> where;
+    bool group_by_name;
+  } shapes[] = {
+      {"SELECT MAX(salary) FROM staff", {{false, kMax}}, all, false},
+      {"SELECT COUNT(*) FROM staff", {{false, kCount}}, all, false},
+      {"SELECT MAX(salary), COUNT(*) FROM staff",
+       {{false, kMax}, {false, kCount}}, all, false},
+      {"SELECT MAX(salary), MAX(salary) FROM staff",
+       {{false, kMax}, {false, kMax}}, all, false},
+      {"SELECT name, MAX(salary) FROM staff GROUP BY name",
+       {{true, kMax}, {false, kMax}}, all, true},
+      {"SELECT MAX(salary), name FROM staff GROUP BY name",
+       {{false, kMax}, {true, kMax}}, all, true},
+      {"SELECT COUNT(*) FROM staff GROUP BY name", {{false, kCount}}, all,
+       true},
+      {"SELECT MAX(salary) FROM staff WHERE salary >= 2", {{false, kMax}},
+       [](const Tuple& t) { return t.value(1).AsInt() >= 2; }, false},
+  };
+  for (const auto& shape : shapes) {
+    for (size_t workers : {1, 3}) {
+      for (const auto& [drop_empty, coalesce] :
+           {std::pair{true, false}, std::pair{false, true},
+            std::pair{true, true}}) {
+        ExecutorOptions options;
+        options.parallel_workers = workers;
+        options.drop_empty = drop_empty;
+        options.coalesce = coalesce;
+        SCOPED_TRACE(std::string(shape.sql) + " workers=" +
+                     std::to_string(workers) +
+                     " drop_empty=" + std::to_string(drop_empty) +
+                     " coalesce=" + std::to_string(coalesce));
+        auto got = RunQuery(shape.sql, catalog, options);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        const std::vector<QueryResultRow> want =
+            ReferenceRows(*rel, shape.columns, shape.where,
+                          shape.group_by_name, options);
+        ASSERT_EQ(got->rows.size(), want.size());
+        for (size_t i = 0; i < want.size(); ++i) {
+          EXPECT_EQ(got->rows[i].valid, want[i].valid) << "row " << i;
+          EXPECT_EQ(got->rows[i].values, want[i].values) << "row " << i;
+        }
+      }
+    }
+  }
 }
 
 // The columnar routing source: the catalog carries a columnar backing

@@ -11,6 +11,7 @@
 
 #include "storage/external_sort.h"
 #include "storage/spill_file.h"
+#include "temporal/instant.h"
 #include "testing/fault_injector.h"
 
 namespace tagg {
@@ -90,6 +91,27 @@ TEST(TemporalColumnTest, RoundTripsAdversarialTimestampGaps) {
       {min + 1, -7, 5.0},
   };
   ExpectRoundTrip(EntryLayout(), recs);
+}
+
+TEST(TemporalColumnTest, RoundTripsOriginAndForeverInstants) {
+  // Clipped entries and sweep events at the ends of the time-line: every
+  // kOrigin <-> kForever step is a delta (and a delta-of-delta) outside
+  // int64, which the codec must wrap rather than overflow.
+  std::vector<EntryRec> entries = {
+      {kOrigin, kForever, 1.0},     {kForever, kForever, 2.0},
+      {kOrigin, kOrigin, 3.0},      {kForever - 1, kOrigin + 1, 4.0},
+      {kOrigin, kForever, 5.0},     {kForever, kOrigin, 6.0},
+  };
+  ExpectRoundTrip(EntryLayout(), entries);
+
+  std::vector<EventRec> events;
+  for (int64_t i = 0; i < 64; ++i) {
+    const Instant at = (i % 3 == 0)   ? kOrigin
+                       : (i % 3 == 1) ? kForever
+                                      : kForever / 2 + i;
+    events.push_back({at, static_cast<double>(i), (i % 2) ? -1 : 1});
+  }
+  ExpectRoundTrip(EventLayout(), events);
 }
 
 TEST(TemporalColumnTest, RoundTripsExtremeAndSpecialDoubles) {

@@ -51,11 +51,14 @@ NET_METRIC_HISTOGRAMS = (
 NET_METRIC_GAUGES = ("tagg_executor_queue_depth",)
 
 # The partitioned ablation must cover every phase-2 kernel family (the
-# tree, and the columnar kernel in both dispatch modes) and the
-# compressed-spill series.  Dropping a family from the sweep would let a
-# kernel regress invisibly; dropping the byte counters would blind the
-# bench_compare spill gate.
+# tree, and the columnar kernel in both dispatch modes), the k-ordered MAX
+# series and the compressed-spill series.  Dropping a family from the
+# sweep would let a kernel regress invisibly; dropping the k-ordered MAX
+# rows would blind the bench_compare gate to a quadratic tree build on
+# nearly sorted input; dropping the byte counters would blind its spill
+# gate.
 PARTITIONED_KERNEL_FAMILIES = ("tree", "columnar-scalar", "columnar-simd")
+PARTITIONED_KORDERED_SERIES = "BM_Partitioned_KOrderedMax/"
 PARTITIONED_SPILL_COUNTERS = (
     "spill_raw_bytes", "spill_encoded_bytes", "compression_ratio")
 PARTITIONED_METRIC_COUNTERS = (
@@ -196,10 +199,12 @@ def check_partitioned_kernels(path: pathlib.Path, benchmarks: list,
                               metrics: dict) -> None:
     """bench_ablation_partitioned only: the kernel sweep must cover every
     kernel family (each entry labels itself '<family>/<aggregate>'), the
-    SpillBytes series must carry the raw/encoded byte counters, and the
-    metrics snapshot the spill instruments."""
+    k-ordered MAX series must be present, the SpillBytes series must carry
+    the raw/encoded byte counters, and the metrics snapshot the spill
+    instruments."""
     families = set()
     spill_entries = []
+    kordered_entries = 0
     for bench in benchmarks:
         if bench.get("run_type") == "aggregate":
             continue
@@ -208,10 +213,15 @@ def check_partitioned_kernels(path: pathlib.Path, benchmarks: list,
             families.add(label.split("/")[0])
         if "BM_Partitioned_SpillBytes/" in bench["name"]:
             spill_entries.append(bench)
+        if PARTITIONED_KORDERED_SERIES in bench["name"]:
+            kordered_entries += 1
     missing = [f for f in PARTITIONED_KERNEL_FAMILIES if f not in families]
     if missing:
         fail(f"{path}: kernel sweep is missing families {missing} "
              f"(found {sorted(families)})")
+    if not kordered_entries:
+        fail(f"{path}: no {PARTITIONED_KORDERED_SERIES} entries — the "
+             "k-ordered MAX series is part of the schema")
     if not spill_entries:
         fail(f"{path}: no BM_Partitioned_SpillBytes entries — the "
              "compressed-spill series is part of the schema")
