@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <functional>
+#include <chrono>
 #include <memory>
 #include <thread>
 #include <type_traits>
@@ -58,23 +58,93 @@ void PublishScanStats(const ColumnScanStats& stats) {
   static obs::Counter& bytes_pruned = reg.GetCounter(
       "tagg_column_scan_bytes_pruned_total",
       "Encoded block bytes pruning avoided reading");
+  static obs::Counter& rows_decoded = reg.GetCounter(
+      "tagg_column_scan_rows_decoded_total",
+      "Rows decoded from straddling blocks by pruned scans");
   scans.Increment();
   skipped.Increment(stats.blocks_skipped);
   summarized.Increment(stats.blocks_summarized);
   decoded.Increment(stats.blocks_decoded);
   bytes_decoded.Increment(stats.bytes_decoded);
   bytes_pruned.Increment(stats.bytes_pruned);
+  rows_decoded.Increment(stats.rows_decoded);
 }
 
 /// Per-worker decode state: blocks are work-stolen off one atomic cursor
 /// and decoded straight into these buffers — no Tuple materialization, no
 /// shared mutable state until the post-join merge.
+///
+/// On the invertible path the count deltas are implied (+1 for a start,
+/// -1 for an end), so both event buffers leave dn empty.
 struct DecodeSlot {
-  EventColumns cols;                  // invertible path
+  EventColumns starts;                // invertible path
+  EventColumns ends;
   std::vector<ClippedEntry> entries;  // MIN/MAX path
   ColumnScanStats stats;
+  int64_t elapsed_ns = 0;
   Status status;
 };
+
+/// One decoded block's start events: [begin, end) of a slot's `starts`.
+/// The file is start-sorted and clipping to the window is monotone, so
+/// each run is already in time order, and so is the sequence of runs in
+/// file order; only the end events need sorting.
+struct StartRun {
+  const EventColumns* starts = nullptr;
+  size_t begin = 0;
+  size_t end = 0;
+};
+
+/// Events the merge hands the sweeper at a time: small enough to stay in
+/// cache, large enough that the per-chunk call amortizes.
+constexpr size_t kMergeChunk = 4096;
+
+/// Merges the start runs (in file order) with the sorted end events and
+/// feeds the result to `sweeper` chunk by chunk.  At equal instants ends
+/// go first, so a row ending just before another starts leaves the
+/// running sum at exactly zero when the active count empties.
+template <bool kCountOnly>
+void MergeIntoSweeper(const std::vector<StartRun>& runs,
+                      const EventColumns& ends, ColumnarSweeper* sweeper) {
+  EventColumns chunk;
+  chunk.at.resize(kMergeChunk);
+  if (!kCountOnly) chunk.dv.resize(kMergeChunk);
+  chunk.dn.resize(kMergeChunk);
+  size_t k = 0;
+  auto flush = [&] {
+    sweeper->Consume(chunk.at.data(), kCountOnly ? nullptr : chunk.dv.data(),
+                     chunk.dn.data(), k);
+    k = 0;
+  };
+  auto emit = [&](Instant at, double dv, int64_t dn) {
+    chunk.at[k] = at;
+    if constexpr (!kCountOnly) chunk.dv[k] = dv;
+    chunk.dn[k] = dn;
+    if (++k == kMergeChunk) flush();
+  };
+  const Instant* e_at = ends.at.data();
+  const double* e_dv = ends.dv.data();
+  const size_t n_ends = ends.size();
+  size_t e = 0;
+  for (const StartRun& run : runs) {
+    const Instant* s_at = run.starts->at.data();
+    const double* s_dv = run.starts->dv.data();
+    size_t i = run.begin;
+    // Starts and ends interleave unpredictably, so each step selects its
+    // source with a comparison instead of a branch.
+    while (i < run.end && e < n_ends) {
+      const bool end_first = e_at[e] <= s_at[i];
+      emit(end_first ? e_at[e] : s_at[i],
+           kCountOnly ? 0.0 : (end_first ? e_dv[e] : s_dv[i]),
+           end_first ? -1 : 1);
+      e += end_first;
+      i += !end_first;
+    }
+    for (; i < run.end; ++i) emit(s_at[i], kCountOnly ? 0.0 : s_dv[i], 1);
+  }
+  for (; e < n_ends; ++e) emit(e_at[e], kCountOnly ? 0.0 : e_dv[e], -1);
+  if (k > 0) flush();
+}
 
 template <typename Op>
 Result<AggregateSeries> RunColumnScan(const ColumnRelation& relation,
@@ -131,16 +201,21 @@ Result<AggregateSeries> RunColumnScan(const ColumnRelation& relation,
   }
 
   // -------------------------------------------------------------------
-  // Decode phase: straddling blocks routed to workers, columns produced
+  // Decode phase: straddling blocks routed to workers, events produced
   // per worker, merged after the join.
   // -------------------------------------------------------------------
   const size_t workers =
       std::max<size_t>(1, std::min(std::max<size_t>(
                                        options.parallel_workers, 1),
                                    std::max<size_t>(decode_list.size(), 1)));
+  obs::Span decode_span(options.profile, "decode");
   std::vector<DecodeSlot> slots(workers);
+  // Indexed like decode_list; each worker writes only the entries of the
+  // blocks it decoded.
+  std::vector<StartRun> runs(kInvertible ? decode_list.size() : 0);
   std::atomic<size_t> next{0};
   auto decode_worker = [&](size_t w) {
+    const auto t0 = std::chrono::steady_clock::now();
     DecodeSlot& slot = slots[w];
     auto reader = relation.NewReader();
     if (!reader.ok()) {
@@ -160,26 +235,34 @@ Result<AggregateSeries> RunColumnScan(const ColumnRelation& relation,
       ++slot.stats.blocks_decoded;
       slot.stats.bytes_decoded += blocks[bi].encoded_bytes;
       slot.stats.rows_decoded += rows.size();
+      const size_t run_begin = slot.starts.size();
       for (const ColumnRecord& r : rows) {
-        // Rows inside a straddling block may still miss the window.
-        if (r.start > qhi || r.end < qlo) continue;
+        // Rows inside a straddling block may still miss the window; they
+        // are start-sorted (ReadBlock checks), so the first one starting
+        // past it ends the block.
+        if (r.start > qhi) break;
+        if (r.end < qlo) continue;
         const Instant s = std::max(r.start, qlo);
         const Instant e = std::min(r.end, qhi);
         const double v = static_cast<double>(r.salary);
         if constexpr (kInvertible) {
-          slot.cols.at.push_back(s);
-          if constexpr (!kCountOnly) slot.cols.dv.push_back(v);
-          slot.cols.dn.push_back(1);
+          slot.starts.at.push_back(s);
+          if constexpr (!kCountOnly) slot.starts.dv.push_back(v);
           if (e < qhi) {
-            slot.cols.at.push_back(e + 1);
-            if constexpr (!kCountOnly) slot.cols.dv.push_back(-v);
-            slot.cols.dn.push_back(-1);
+            slot.ends.at.push_back(e + 1);
+            if constexpr (!kCountOnly) slot.ends.dv.push_back(-v);
           }
         } else {
           slot.entries.push_back({s, e, v});
         }
       }
+      if constexpr (kInvertible) {
+        runs[j] = {&slot.starts, run_begin, slot.starts.size()};
+      }
     }
+    slot.elapsed_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
   };
   if (workers <= 1 || decode_list.empty()) {
     decode_worker(0);
@@ -192,35 +275,51 @@ Result<AggregateSeries> RunColumnScan(const ColumnRelation& relation,
     for (std::thread& th : pool) th.join();
   }
   size_t events_total = 0;
-  for (DecodeSlot& slot : slots) {
+  for (size_t w = 0; w < workers; ++w) {
+    const DecodeSlot& slot = slots[w];
     TAGG_RETURN_IF_ERROR(slot.status);
     stats.blocks_decoded += slot.stats.blocks_decoded;
     stats.bytes_decoded += slot.stats.bytes_decoded;
     stats.rows_decoded += slot.stats.rows_decoded;
-    events_total += kInvertible ? slot.cols.size() : slot.entries.size();
+    events_total += kInvertible ? slot.starts.size() + slot.ends.size()
+                                : slot.entries.size();
+    decode_span.Annotate("w" + std::to_string(w) + "_blocks",
+                         slot.stats.blocks_decoded);
+    decode_span.Annotate("w" + std::to_string(w) + "_ns", slot.elapsed_ns);
   }
+  decode_span.Annotate("workers", workers);
+  decode_span.Annotate("blocks_decoded", stats.blocks_decoded);
+  decode_span.Annotate("rows_decoded", stats.rows_decoded);
+  decode_span.End();
 
   // -------------------------------------------------------------------
-  // Sweep (invertible) or tree (MIN/MAX) over the merged decode output,
-  // with the summary baseline folded into every emitted segment.
+  // Sweep (invertible) or tree (MIN/MAX) over the decode output, with
+  // the summary baseline folded into every emitted segment.
   // -------------------------------------------------------------------
   AggregateSeries series;
   if constexpr (kInvertible) {
-    EventColumns all;
-    all.reserve(events_total, !kCountOnly);
-    for (DecodeSlot& slot : slots) {
-      all.at.insert(all.at.end(), slot.cols.at.begin(), slot.cols.at.end());
-      all.dv.insert(all.dv.end(), slot.cols.dv.begin(), slot.cols.dv.end());
-      all.dn.insert(all.dn.end(), slot.cols.dn.begin(), slot.cols.dn.end());
-      slot.cols.clear();
+    // Only the end events need sorting: gather them into one buffer and
+    // radix-sort it (the scratch is freed before the merge).
+    obs::Span sort_span(options.profile, "sort");
+    EventColumns ends = std::move(slots[0].ends);
+    for (size_t w = 1; w < workers; ++w) {
+      const EventColumns& more = slots[w].ends;
+      ends.at.insert(ends.at.end(), more.at.begin(), more.at.end());
+      ends.dv.insert(ends.dv.end(), more.dv.begin(), more.dv.end());
     }
-    EventColumns scratch;
-    SortEventColumns(all, scratch);
+    {
+      EventColumns scratch;
+      SortEventColumns(ends, scratch);
+    }
+    sort_span.Annotate("end_events", ends.size());
+    sort_span.End();
+
+    obs::Span sweep_span(options.profile, "sweep");
     const SimdLevel simd = options.force_scalar_kernel
                                ? SimdLevel::kScalar
                                : ActiveSimdLevel();
     ColumnarSweeper sweeper(qlo, qhi, simd, kCountOnly);
-    sweeper.Consume(all);
+    MergeIntoSweeper<kCountOnly>(runs, ends, &sweeper);
     sweeper.Finish();
     const std::vector<Instant>& lo = sweeper.seg_lo();
     const std::vector<Instant>& hi = sweeper.seg_hi();
@@ -233,9 +332,12 @@ Result<AggregateSeries> RunColumnScan(const ColumnRelation& relation,
       series.intervals.push_back({Period(lo[i], hi[i]),
                                   Op::Finalize(state)});
     }
+    sweep_span.Annotate("events", events_total);
+    sweep_span.Annotate("intervals", series.intervals.size());
   } else {
     // The tree spans the window only: a row covering all of it costs one
     // step at the root, like a summarized block.
+    obs::Span tree_span(options.profile, "tree");
     BalancedTreeAggregator<Op> tree(qlo, qhi);
     for (DecodeSlot& slot : slots) {
       for (const ClippedEntry& e : slot.entries) {
@@ -251,6 +353,8 @@ Result<AggregateSeries> RunColumnScan(const ColumnRelation& relation,
       series.intervals.push_back({Period(ti.start, ti.end),
                                   Op::Finalize(state)});
     }
+    tree_span.Annotate("entries", events_total);
+    tree_span.Annotate("intervals", series.intervals.size());
   }
 
   series.stats.tuples_processed = stats.rows_decoded;

@@ -34,9 +34,12 @@
 // Decoded blocks are routed to workers phase-1 style (work stealing over
 // the block list, no Tuple materialization): each worker decodes straight
 // into per-worker event columns (invertible) or clipped entry buffers
-// (MIN/MAX), and the merged columns run through the columnar sweep kernel
-// (core/sweep_columnar) or the balanced tree (core/balanced_tree, which
-// stays O(n log n) on the start-ordered rows) respectively.
+// (MIN/MAX).  The invertible path exploits the file's order: the rows are
+// start-sorted and clipping to the window is monotone, so each block's
+// start events arrive sorted; only the end events are radix-sorted, and
+// one merge of the two streams feeds the columnar sweep kernel
+// (core/sweep_columnar).  MIN/MAX entries go to the balanced tree
+// (core/balanced_tree, which stays O(n log n) on the start-ordered rows).
 //
 // The returned series partitions exactly the query window — AggregateOver
 // semantics match the live index's: clipping to the window preserves each
@@ -46,6 +49,7 @@
 #pragma once
 
 #include "core/aggregates.h"
+#include "obs/trace.h"
 #include "storage/column_relation.h"
 #include "temporal/period.h"
 #include "util/result.h"
@@ -76,6 +80,12 @@ struct ColumnScanOptions {
 
   /// Pin the sweep kernel to the scalar body (testing/ablation).
   bool force_scalar_kernel = false;
+
+  /// When set, the scan records decode/sort/sweep child spans (decode/tree
+  /// for MIN/MAX) with per-worker decode timings.  Spans are written from
+  /// the calling thread only; workers fill plain per-worker slots that are
+  /// annotated after the join.
+  obs::QueryProfile* profile = nullptr;
 };
 
 /// What one scan did, for the obs counters and the bench JSON.

@@ -21,13 +21,14 @@ void GatherByOrder(const EventColumns& src, const std::vector<uint32_t>& ord,
                    EventColumns& dst) {
   const size_t n = ord.size();
   const bool has_dv = !src.dv.empty();
+  const bool has_dn = !src.dn.empty();
   dst.at.resize(n);
-  dst.dn.resize(n);
+  if (has_dn) dst.dn.resize(n);
   if (has_dv) dst.dv.resize(n);
   for (size_t i = 0; i < n; ++i) {
     const uint32_t j = ord[i];
     dst.at[i] = src.at[j];
-    dst.dn[i] = src.dn[j];
+    if (has_dn) dst.dn[i] = src.dn[j];
     if (has_dv) dst.dv[i] = src.dv[j];
   }
 }
@@ -62,8 +63,9 @@ void SortEventColumns(EventColumns& cols, EventColumns& scratch) {
   while (passes < 8 && (range >> (8 * passes)) != 0) ++passes;
 
   const bool has_dv = !cols.dv.empty();
+  const bool has_dn = !cols.dn.empty();
   scratch.at.resize(n);
-  scratch.dn.resize(n);
+  if (has_dn) scratch.dn.resize(n);
   if (has_dv) scratch.dv.resize(n);
 
   EventColumns* src = &cols;
@@ -94,7 +96,7 @@ void SortEventColumns(EventColumns& cols, EventColumns& scratch) {
       const size_t out =
           count[(static_cast<uint64_t>(src->at[i]) - bias) >> shift & 0xFF]++;
       dst->at[out] = src->at[i];
-      dst->dn[out] = src->dn[i];
+      if (has_dn) dst->dn[out] = src->dn[i];
       if (has_dv) dst->dv[out] = src->dv[i];
     }
     std::swap(src, dst);

@@ -71,7 +71,9 @@ struct EventColumns {
   }
 };
 
-/// Stable LSD radix sort of the columns by `at` (ascending).  `scratch`
+/// Stable LSD radix sort of the columns by `at` (ascending).  Besides dv,
+/// dn may be left empty too, when the caller knows every event's count
+/// delta (the column scan sorts only its end events, all -1).  `scratch`
 /// is the ping-pong buffer; it is resized as needed and its contents are
 /// unspecified afterwards.  Reusing one scratch across regions amortizes
 /// the allocation.  Passes over bytes the key range does not reach are

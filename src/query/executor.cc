@@ -298,6 +298,7 @@ Result<QueryResult> ExecuteSelect(const BoundQuery& query,
         copts.attribute = agg.attribute;
         copts.window = Period::All();
         copts.parallel_workers = ResolveWorkers(options.parallel_workers);
+        copts.profile = profile;
         ColumnScanStats scan_stats;
         TAGG_ASSIGN_OR_RETURN(
             series, ComputeColumnScanAggregate(*backing, copts, &scan_stats));

@@ -364,19 +364,32 @@ Status ColumnRelationReader::ReadBlock(size_t index,
         "short read of block %zu in '%s'", index,
         relation_->path().c_str()));
   }
-  decoded_.clear();
-  auto consumed = DecodeTemporalBlock(ColumnRecordLayout(), encoded_.data(),
-                                      encoded_.size(), &decoded_);
-  if (!consumed.ok()) return consumed.status();
-  if (consumed.value() != info.encoded_bytes ||
-      decoded_.size() != info.rows * sizeof(ColumnRecord)) {
+  // Decode straight into the caller's rows, then hold them to the
+  // footer's promises: the rows are start-sorted and inside the zone map.
+  // A CRC-valid block that breaks either would make pruning (and the
+  // scan's presorted start events) return a wrong answer, not an error.
+  const size_t old = out->size();
+  out->resize(old + info.rows);
+  ColumnRecord* rows = out->data() + old;
+  auto consumed = DecodeTemporalBlockInto(ColumnRecordLayout(),
+                                          encoded_.data(), encoded_.size(),
+                                          info.rows, rows);
+  bool consistent = consumed.ok() && consumed.value() == info.encoded_bytes;
+  Instant prev_start = info.min_start;
+  for (size_t i = 0; consistent && i < info.rows; ++i) {
+    const ColumnRecord& r = rows[i];
+    consistent = r.start >= prev_start && r.start <= info.max_start &&
+                 r.start <= r.end && r.end >= info.min_end &&
+                 r.end <= info.max_end;
+    prev_start = r.start;
+  }
+  if (!consistent) {
+    out->resize(old);
+    if (!consumed.ok()) return consumed.status();
     return Status::Corruption(StringPrintf(
         "block %zu of '%s' disagrees with its footer entry", index,
         relation_->path().c_str()));
   }
-  const size_t old = out->size();
-  out->resize(old + info.rows);
-  std::memcpy(out->data() + old, decoded_.data(), decoded_.size());
   return Status::OK();
 }
 

@@ -29,7 +29,8 @@
 // Writers enforce the sorted-by-start invariant (so min_start is
 // nondecreasing across blocks and a window's upper bound cuts the block
 // list); readers validate magic, version, trailer CRC, and per-block
-// geometry before serving a single row.  Each Reader owns its own file
+// geometry before serving a single row, and hold every decoded block to
+// its footer entry (start order, zone map).  Each Reader owns its own file
 // handle, so concurrent scans of one shared ColumnRelation never contend.
 //
 // Fault-injector seams (testing/fault_injector.h):
@@ -202,7 +203,10 @@ class ColumnRelationReader {
   ColumnRelationReader& operator=(const ColumnRelationReader&) = delete;
   ~ColumnRelationReader();
 
-  /// Reads block `index`, CRC-verifies it, and appends its rows to `out`.
+  /// Reads block `index`, CRC-verifies it, and decodes its rows straight
+  /// onto the end of `out`.  Returns Corruption (leaving `out` as it was)
+  /// unless the rows are nondecreasing in start, valid periods, and inside
+  /// the footer's zone map [min_start, max_start] x [min_end, max_end].
   Status ReadBlock(size_t index, std::vector<ColumnRecord>* out);
 
  private:
@@ -213,7 +217,6 @@ class ColumnRelationReader {
   std::shared_ptr<const ColumnRelation> relation_;
   std::FILE* file_;
   std::vector<char> encoded_;  // reused per block
-  std::vector<char> decoded_;
 };
 
 }  // namespace tagg

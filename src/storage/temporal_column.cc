@@ -1,6 +1,7 @@
 #include "storage/temporal_column.h"
 
 #include <array>
+#include <bit>
 #include <cstring>
 
 #include "testing/fault_injector.h"
@@ -60,19 +61,30 @@ uint32_t GetFixed32(const uint8_t* p) {
   return v;
 }
 
-const std::array<uint32_t, 256>& Crc32Table() {
-  static const std::array<uint32_t, 256> table = [] {
-    std::array<uint32_t, 256> t{};
+/// Slicing-by-8 tables for the reflected polynomial 0xEDB88320: t[0] is
+/// the classic byte-at-a-time table, and t[k][b] is the CRC of byte b
+/// followed by k zero bytes, so eight table lookups fold in one 8-byte
+/// word.
+using Crc32Tables = std::array<std::array<uint32_t, 256>, 8>;
+
+const Crc32Tables& Crc32Table() {
+  static const Crc32Tables tables = [] {
+    Crc32Tables t{};
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
       }
-      t[i] = c;
+      t[0][i] = c;
+    }
+    for (uint32_t i = 0; i < 256; ++i) {
+      for (size_t k = 1; k < 8; ++k) {
+        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFF];
+      }
     }
     return t;
   }();
-  return table;
+  return tables;
 }
 
 /// XOR-compressed double column entry: control byte 0 for "same as
@@ -119,14 +131,118 @@ bool DecodeDouble(const uint8_t** p, const uint8_t* end, uint64_t* prev,
   return true;
 }
 
+/// A TCB1 block whose header and CRC have been verified.
+struct VerifiedBlock {
+  uint32_t count;
+  const uint8_t* payload;
+  uint32_t payload_size;
+};
+
+Result<VerifiedBlock> VerifyBlock(const TemporalColumnLayout& layout,
+                                  const void* data, size_t size) {
+  if (layout.empty()) {
+    return Status::InvalidArgument("temporal column layout is empty");
+  }
+  TAGG_INJECT_FAULT("temporal_column.decode");
+  const auto* p = static_cast<const uint8_t*>(data);
+  if (size < kTemporalBlockHeaderSize) {
+    return Status::Corruption("temporal column block: truncated header");
+  }
+  if (GetFixed32(p) != kBlockMagic) {
+    return Status::Corruption("temporal column block: bad magic");
+  }
+  const uint32_t count = GetFixed32(p + 4);
+  const uint32_t payload_size = GetFixed32(p + 8);
+  const uint32_t want_crc = GetFixed32(p + 12);
+  if (size - kTemporalBlockHeaderSize < payload_size) {
+    return Status::Corruption("temporal column block: truncated payload");
+  }
+  const uint8_t* payload = p + kTemporalBlockHeaderSize;
+  uint32_t crc = Crc32(0, payload, payload_size);
+  const uint32_t meta[2] = {count, payload_size};
+  crc = Crc32(crc, meta, sizeof(meta));
+  if (crc != want_crc) {
+    return Status::Corruption("temporal column block: checksum mismatch");
+  }
+  return VerifiedBlock{count, payload, payload_size};
+}
+
+/// Decodes a verified block's payload into `recs` (room for block.count
+/// records).  False when the payload is malformed or not fully consumed.
+bool DecodePayload(const TemporalColumnLayout& layout,
+                   const VerifiedBlock& block, char* recs) {
+  const size_t record_size = layout.record_size();
+  const uint32_t count = block.count;
+  const uint8_t* cursor = block.payload;
+  const uint8_t* end = block.payload + block.payload_size;
+  for (size_t f = 0; f < layout.fields.size(); ++f) {
+    switch (layout.fields[f]) {
+      case TemporalColumnLayout::Field::kTime: {
+        uint64_t prev = 0;
+        uint64_t prev_delta = 0;
+        for (uint32_t i = 0; i < count; ++i) {
+          uint64_t raw;
+          if (!GetVarint(&cursor, end, &raw)) return false;
+          uint64_t v;
+          if (i == 0) {
+            v = static_cast<uint64_t>(UnZigZag(raw));
+          } else {
+            prev_delta += static_cast<uint64_t>(UnZigZag(raw));
+            v = prev + prev_delta;
+          }
+          prev = v;
+          std::memcpy(recs + i * record_size + f * 8, &v, 8);
+        }
+        break;
+      }
+      case TemporalColumnLayout::Field::kDouble: {
+        uint64_t prev = 0;
+        for (uint32_t i = 0; i < count; ++i) {
+          uint64_t bits;
+          if (!DecodeDouble(&cursor, end, &prev, &bits)) return false;
+          std::memcpy(recs + i * record_size + f * 8, &bits, 8);
+        }
+        break;
+      }
+      case TemporalColumnLayout::Field::kInt: {
+        for (uint32_t i = 0; i < count; ++i) {
+          uint64_t raw;
+          if (!GetVarint(&cursor, end, &raw)) return false;
+          const int64_t v = UnZigZag(raw);
+          std::memcpy(recs + i * record_size + f * 8, &v, 8);
+        }
+        break;
+      }
+    }
+  }
+  return cursor == end;
+}
+
+Status MalformedPayload() {
+  return Status::Corruption("temporal column block: malformed payload");
+}
+
 }  // namespace
 
 uint32_t Crc32(uint32_t crc, const void* data, size_t n) {
-  const auto& table = Crc32Table();
+  const Crc32Tables& t = Crc32Table();
   const auto* p = static_cast<const uint8_t*>(data);
   crc = ~crc;
-  for (size_t i = 0; i < n; ++i) {
-    crc = table[(crc ^ p[i]) & 0xFF] ^ (crc >> 8);
+  if constexpr (std::endian::native == std::endian::little) {
+    // The word's low byte is the first in memory, so XOR-ing the CRC into
+    // its low half lines up with the byte-wise recurrence.
+    for (; n >= 8; p += 8, n -= 8) {
+      uint64_t w;
+      std::memcpy(&w, p, sizeof(w));
+      w ^= crc;
+      crc = t[7][w & 0xFF] ^ t[6][(w >> 8) & 0xFF] ^
+            t[5][(w >> 16) & 0xFF] ^ t[4][(w >> 24) & 0xFF] ^
+            t[3][(w >> 32) & 0xFF] ^ t[2][(w >> 40) & 0xFF] ^
+            t[1][(w >> 48) & 0xFF] ^ t[0][w >> 56];
+    }
+  }
+  for (; n > 0; ++p, --n) {
+    crc = t[0][(crc ^ *p) & 0xFF] ^ (crc >> 8);
   }
   return ~crc;
 }
@@ -202,84 +318,29 @@ Status EncodeTemporalBlock(const TemporalColumnLayout& layout,
 Result<size_t> DecodeTemporalBlock(const TemporalColumnLayout& layout,
                                    const void* data, size_t size,
                                    std::vector<char>* out) {
-  if (layout.empty()) {
-    return Status::InvalidArgument("temporal column layout is empty");
-  }
-  TAGG_INJECT_FAULT("temporal_column.decode");
-  const auto* p = static_cast<const uint8_t*>(data);
-  if (size < kTemporalBlockHeaderSize) {
-    return Status::Corruption("temporal column block: truncated header");
-  }
-  if (GetFixed32(p) != kBlockMagic) {
-    return Status::Corruption("temporal column block: bad magic");
-  }
-  const uint32_t count = GetFixed32(p + 4);
-  const uint32_t payload_size = GetFixed32(p + 8);
-  const uint32_t want_crc = GetFixed32(p + 12);
-  if (size - kTemporalBlockHeaderSize < payload_size) {
-    return Status::Corruption("temporal column block: truncated payload");
-  }
-  const uint8_t* payload = p + kTemporalBlockHeaderSize;
-  uint32_t crc = Crc32(0, payload, payload_size);
-  const uint32_t meta[2] = {count, payload_size};
-  crc = Crc32(crc, meta, sizeof(meta));
-  if (crc != want_crc) {
-    return Status::Corruption("temporal column block: checksum mismatch");
-  }
-
-  const size_t record_size = layout.record_size();
+  TAGG_ASSIGN_OR_RETURN(VerifiedBlock block, VerifyBlock(layout, data, size));
   const size_t out_base = out->size();
-  out->resize(out_base + static_cast<size_t>(count) * record_size);
-  char* recs = out->data() + out_base;
-
-  const uint8_t* cursor = payload;
-  const uint8_t* end = payload + payload_size;
-  auto malformed = [&]() -> Status {
+  out->resize(out_base +
+              static_cast<size_t>(block.count) * layout.record_size());
+  if (!DecodePayload(layout, block, out->data() + out_base)) {
     out->resize(out_base);
-    return Status::Corruption("temporal column block: malformed payload");
-  };
-  for (size_t f = 0; f < layout.fields.size(); ++f) {
-    switch (layout.fields[f]) {
-      case TemporalColumnLayout::Field::kTime: {
-        uint64_t prev = 0;
-        uint64_t prev_delta = 0;
-        for (uint32_t i = 0; i < count; ++i) {
-          uint64_t raw;
-          if (!GetVarint(&cursor, end, &raw)) return malformed();
-          uint64_t v;
-          if (i == 0) {
-            v = static_cast<uint64_t>(UnZigZag(raw));
-          } else {
-            prev_delta += static_cast<uint64_t>(UnZigZag(raw));
-            v = prev + prev_delta;
-          }
-          prev = v;
-          std::memcpy(recs + i * record_size + f * 8, &v, 8);
-        }
-        break;
-      }
-      case TemporalColumnLayout::Field::kDouble: {
-        uint64_t prev = 0;
-        for (uint32_t i = 0; i < count; ++i) {
-          uint64_t bits;
-          if (!DecodeDouble(&cursor, end, &prev, &bits)) return malformed();
-          std::memcpy(recs + i * record_size + f * 8, &bits, 8);
-        }
-        break;
-      }
-      case TemporalColumnLayout::Field::kInt: {
-        for (uint32_t i = 0; i < count; ++i) {
-          uint64_t raw;
-          if (!GetVarint(&cursor, end, &raw)) return malformed();
-          const int64_t v = UnZigZag(raw);
-          std::memcpy(recs + i * record_size + f * 8, &v, 8);
-        }
-        break;
-      }
-    }
+    return MalformedPayload();
   }
-  if (cursor != end) return malformed();
-  return kTemporalBlockHeaderSize + static_cast<size_t>(payload_size);
+  return kTemporalBlockHeaderSize + static_cast<size_t>(block.payload_size);
+}
+
+Result<size_t> DecodeTemporalBlockInto(const TemporalColumnLayout& layout,
+                                       const void* data, size_t size,
+                                       size_t count, void* out) {
+  TAGG_ASSIGN_OR_RETURN(VerifiedBlock block, VerifyBlock(layout, data, size));
+  if (block.count != count) {
+    return Status::Corruption(
+        "temporal column block: record count disagrees with the caller's");
+  }
+  if (!DecodePayload(layout, block, static_cast<char*>(out))) {
+    return MalformedPayload();
+  }
+  return kTemporalBlockHeaderSize + static_cast<size_t>(block.payload_size);
 }
 
 }  // namespace tagg

@@ -68,8 +68,19 @@ Result<size_t> DecodeTemporalBlock(const TemporalColumnLayout& layout,
                                    const void* data, size_t size,
                                    std::vector<char>* out);
 
+/// DecodeTemporalBlock into caller memory: decodes the block straight
+/// into `out`, which has room for exactly `count` records.  A block
+/// holding any other number of records returns Status::Corruption before
+/// a byte of `out` is written; a malformed payload may leave `out`
+/// partially written.
+Result<size_t> DecodeTemporalBlockInto(const TemporalColumnLayout& layout,
+                                       const void* data, size_t size,
+                                       size_t count, void* out);
+
 /// CRC32 (reflected, poly 0xEDB88320) over `n` bytes, continuing `crc`
-/// (pass 0 to start).  Exposed for tests that forge corrupt blocks.
+/// (pass 0 to start), computed 8 bytes at a time (slicing-by-8); the
+/// values equal the classic byte-at-a-time CRC's.  Exposed for tests that
+/// forge corrupt blocks.
 uint32_t Crc32(uint32_t crc, const void* data, size_t n);
 
 }  // namespace tagg

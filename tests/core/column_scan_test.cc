@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cmath>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -363,6 +364,103 @@ TEST(ColumnScanSortedTest, MinMaxWideWindowsMatchReference) {
         const Instant t = std::max(ri.period.start(), window.start());
         if (t > std::min(ri.period.end(), window.end())) continue;
         EXPECT_EQ(SeriesValueAt(*scan, t), ri.value) << "at " << t;
+      }
+    }
+  }
+  fs::remove(path);
+}
+
+/// COUNT exactly; SUM/AVG within the differential tolerance policy
+/// (docs/TESTING.md) without the conditioning term: the inputs here are
+/// small integers, so no interval suffers catastrophic cancellation.
+void ExpectAggregateMatch(AggregateKind kind, const Value& expected,
+                          const Value& actual, Instant at) {
+  if (kind == AggregateKind::kCount || expected.is_null() ||
+      actual.is_null()) {
+    EXPECT_EQ(actual, expected) << "at " << at;
+    return;
+  }
+  const double a = expected.AsDouble();
+  const double b = actual.AsDouble();
+  EXPECT_LE(std::abs(a - b),
+            1e-9 * std::max({1.0, std::abs(a), std::abs(b)}))
+      << "at " << at << ": expected " << a << ", got " << b;
+}
+
+TEST(ColumnScanMergeTest, TiedEventsMatchReference) {
+  // The scan merges presorted start events with sorted end events; this
+  // file is built to put the merge's ties everywhere: runs of rows share
+  // a start (and span block boundaries at 16 rows per block), rows end
+  // exactly where others start (end + 1 == start), some rows are [t, t],
+  // and every window edge sits on an event instant.
+  const std::string path = TestPath("column_scan_ties");
+  Relation relation(EmployedSchema(), "ties");
+  for (int i = 0; i < 1200; ++i) {
+    const Instant start = 1000 + 10 * ((i * 7) % 150);
+    const int shape = i % 5;
+    // Durations 0 ([t, t]), 9 and 19 (end + 1 lands on another start),
+    // and longer ones crossing many starts.
+    const Instant end = shape == 0   ? start
+                        : shape == 1 ? start + 9
+                        : shape == 2 ? start + 19
+                        : shape == 3 ? start + 10 * (i % 40) + 9
+                                     : start + 3;
+    relation.AppendUnchecked(
+        Tuple({Value::String("t"), Value::Int((i * 37) % 1000 - 100)},
+              Period(start, end)));
+  }
+  auto column = WriteRelationToColumnFile(relation, path,
+                                          /*rows_per_block=*/16);
+  ASSERT_TRUE(column.ok()) << column.status().ToString();
+
+  const Period windows[] = {
+      Period(1500, 1509),  // narrow: a start instant to an end instant
+      Period(1200, 2199),  // mid
+      Period::All(),       // full
+  };
+  for (const Period& window : windows) {
+    for (AggregateKind kind :
+         {AggregateKind::kCount, AggregateKind::kSum, AggregateKind::kAvg}) {
+      const size_t attribute = kind == AggregateKind::kCount
+                                   ? AggregateOptions::kNoAttribute
+                                   : kColumnValueAttribute;
+      AggregateOptions reference_options;
+      reference_options.aggregate = kind;
+      reference_options.attribute = attribute;
+      reference_options.algorithm = AlgorithmKind::kReference;
+      auto reference = ComputeTemporalAggregate(relation, reference_options);
+      ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+      for (const bool prune : {false, true}) {
+        for (const bool use_summaries : {false, true}) {
+          for (const size_t workers : {size_t{1}, size_t{3}}) {
+            SCOPED_TRACE(std::string(AggregateKindToString(kind)) +
+                         " window " + window.ToString() + " prune " +
+                         std::to_string(prune) + " summaries " +
+                         std::to_string(use_summaries) + " workers " +
+                         std::to_string(workers));
+            ColumnScanOptions options;
+            options.aggregate = kind;
+            options.attribute = attribute;
+            options.window = window;
+            options.prune = prune;
+            options.use_summaries = use_summaries;
+            options.parallel_workers = workers;
+            auto scan = ComputeColumnScanAggregate(**column, options);
+            ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+            ExpectPartitions(*scan, window);
+            for (const ResultInterval& ri : scan->intervals) {
+              const Instant t = ri.period.start();
+              ExpectAggregateMatch(kind, SeriesValueAt(*reference, t),
+                                   ri.value, t);
+            }
+            for (const ResultInterval& ri : reference->intervals) {
+              const Instant t = std::max(ri.period.start(), window.start());
+              if (t > std::min(ri.period.end(), window.end())) continue;
+              ExpectAggregateMatch(kind, ri.value, SeriesValueAt(*scan, t),
+                                   t);
+            }
+          }
+        }
       }
     }
   }

@@ -3,9 +3,16 @@
 // whose stage durations are consistent with the total wall time.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <filesystem>
+#include <string>
+#include <vector>
 
 #include "core/workload.h"
+#include "obs/metrics.h"
 #include "query/executor.h"
+#include "storage/relation_io.h"
 
 namespace tagg {
 namespace {
@@ -129,6 +136,77 @@ TEST_F(ExplainAnalyzeTest, EveryResultCarriesAProfile) {
   EXPECT_FALSE(result->analyzed);
   ASSERT_NE(result->profile, nullptr);
   EXPECT_NE(result->profile->Find("execute"), nullptr);
+}
+
+// A query served from a columnar backing file: the pruned scan's phases
+// are children of the executor's column_scan span.
+class ExplainAnalyzeColumnScanTest : public ExplainAnalyzeTest {
+ protected:
+  void SetUp() override {
+    ExplainAnalyzeTest::SetUp();
+    path_ = testing::TempDir() + "tagg_explain_column_" +
+            std::to_string(::getpid()) + ".tcr";
+    auto relation = catalog_.Get("employed");
+    ASSERT_TRUE(relation.ok());
+    auto column =
+        WriteRelationToColumnFile(**relation, path_, /*rows_per_block=*/2);
+    ASSERT_TRUE(column.ok()) << column.status().ToString();
+    ASSERT_TRUE(catalog_.AttachColumnBacking("employed", *column).ok());
+  }
+
+  void TearDown() override {
+    std::error_code ec;
+    std::filesystem::remove(path_, ec);
+  }
+
+  std::string path_;
+};
+
+TEST_F(ExplainAnalyzeColumnScanTest, ScanPhasesNestUnderColumnScan) {
+  obs::Counter& rows_decoded = obs::MetricsRegistry::Global().GetCounter(
+      "tagg_column_scan_rows_decoded_total", "");
+  const struct {
+    const char* sql;
+    std::vector<std::string> phases;
+  } cases[] = {
+      {"EXPLAIN ANALYZE SELECT COUNT(*) FROM employed",
+       {"decode", "sort", "sweep"}},
+      {"EXPLAIN ANALYZE SELECT SUM(salary) FROM employed",
+       {"decode", "sort", "sweep"}},
+      {"EXPLAIN ANALYZE SELECT MAX(salary) FROM employed",
+       {"decode", "tree"}},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.sql);
+    const uint64_t rows_before = rows_decoded.Value();
+    auto result = RunQuery(c.sql, catalog_);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->plan.algorithm, AlgorithmKind::kColumnScan);
+    ASSERT_NE(result->profile, nullptr);
+    const obs::SpanNode* scan = result->profile->Find("column_scan");
+    ASSERT_NE(scan, nullptr);
+    ASSERT_EQ(scan->children.size(), c.phases.size());
+    int64_t phase_sum = 0;
+    for (size_t i = 0; i < c.phases.size(); ++i) {
+      const obs::SpanNode& phase = *scan->children[i];
+      EXPECT_EQ(phase.name, c.phases[i]);
+      EXPECT_GE(phase.duration_ns, 0) << phase.name;
+      EXPECT_GE(phase.start_ns, scan->start_ns) << phase.name;
+      phase_sum += phase.duration_ns;
+    }
+    EXPECT_LE(phase_sum, scan->duration_ns);
+    // The full window decodes every row of the Figure 1 relation.
+    const size_t rows = MakeFigure1EmployedRelation().size();
+    bool has_rows_decoded = false;
+    for (const auto& [key, value] : scan->children[0]->annotations) {
+      if (key == "rows_decoded") {
+        has_rows_decoded = true;
+        EXPECT_EQ(value, std::to_string(rows));
+      }
+    }
+    EXPECT_TRUE(has_rows_decoded);
+    EXPECT_EQ(rows_decoded.Value() - rows_before, rows);
+  }
 }
 
 }  // namespace

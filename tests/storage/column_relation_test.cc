@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "core/column_scan.h"
 #include "storage/heap_file.h"
 #include "storage/record_codec.h"
 #include "storage/relation_io.h"
@@ -185,9 +186,120 @@ class ColumnRelationCorruptionTest : public ::testing::Test {
     std::fclose(f);
   }
 
+  /// Rewrites the file from `blocks` (encoded TCB1 blocks) and `infos`
+  /// (their footer entries, offsets and sizes recomputed here), keeping
+  /// the original header and resealing the trailer's footer CRC, so only
+  /// the blocks' contents can disagree with the footer.
+  void Rewrite(const std::vector<std::string>& blocks,
+               std::vector<ColumnBlockInfo> infos) {
+    ASSERT_EQ(blocks.size(), infos.size());
+    std::string bytes(file_size_, '\0');
+    std::FILE* in = std::fopen(path_.c_str(), "rb");
+    ASSERT_NE(in, nullptr);
+    ASSERT_EQ(std::fread(bytes.data(), 1, bytes.size(), in), bytes.size());
+    std::fclose(in);
+
+    std::string out = bytes.substr(0, kColumnHeaderSize);
+    for (size_t i = 0; i < blocks.size(); ++i) {
+      infos[i].offset = out.size();
+      infos[i].encoded_bytes = blocks[i].size();
+      out += blocks[i];
+    }
+    std::string footer(infos.size() * kColumnBlockInfoSize, '\0');
+    std::memcpy(footer.data(), infos.data(), footer.size());
+    out += footer;
+    std::string trailer = bytes.substr(bytes.size() - kColumnTrailerSize);
+    const uint32_t crc = Crc32(0, footer.data(), footer.size());
+    std::memcpy(trailer.data() + 24, &crc, sizeof(crc));
+    out += trailer;
+
+    std::FILE* f = std::fopen(path_.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(out.data(), 1, out.size(), f), out.size());
+    std::fclose(f);
+  }
+
+  /// Every block of the fixture file, decoded, plus its footer entries.
+  void ReadAll(std::vector<std::vector<ColumnRecord>>* rows,
+               std::vector<ColumnBlockInfo>* infos) {
+    auto relation = ColumnRelation::Open(path_);
+    ASSERT_TRUE(relation.ok()) << relation.status().ToString();
+    auto reader = (*relation)->NewReader();
+    ASSERT_TRUE(reader.ok());
+    *infos = (*relation)->blocks();
+    rows->assign(infos->size(), {});
+    for (size_t i = 0; i < infos->size(); ++i) {
+      ASSERT_TRUE((*reader)->ReadBlock(i, &(*rows)[i]).ok());
+    }
+  }
+
+  /// Opens the (rewritten) file and asserts it opens, that ReadBlock of
+  /// `bad` fails with Corruption leaving the output untouched while its
+  /// neighbours still read, and that a full-window scan fails too.
+  void ExpectBlockCorruption(size_t bad) {
+    auto relation = ColumnRelation::Open(path_);
+    ASSERT_TRUE(relation.ok()) << relation.status().ToString();
+    auto reader = (*relation)->NewReader();
+    ASSERT_TRUE(reader.ok());
+    std::vector<ColumnRecord> rows;
+    const Status status = (*reader)->ReadBlock(bad, &rows);
+    EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+    EXPECT_TRUE(rows.empty());
+    EXPECT_TRUE((*reader)->ReadBlock(bad + 1, &rows).ok());
+    for (AggregateKind kind : {AggregateKind::kCount, AggregateKind::kSum,
+                               AggregateKind::kMax}) {
+      ColumnScanOptions options;
+      options.aggregate = kind;
+      options.attribute = kind == AggregateKind::kCount
+                              ? AggregateOptions::kNoAttribute
+                              : kColumnValueAttribute;
+      options.parallel_workers = 2;
+      const Status scan =
+          ComputeColumnScanAggregate(**relation, options).status();
+      EXPECT_TRUE(scan.IsCorruption())
+          << AggregateKindToString(kind) << ": " << scan.ToString();
+    }
+  }
+
   std::string path_;
   uint64_t file_size_ = 0;
 };
+
+TEST_F(ColumnRelationCorruptionTest, CrcValidBlockOutOfStartOrderFailsRead) {
+  // Re-encode block 0 with two rows swapped: its CRC is valid and its
+  // rows stay inside the zone map, but they are no longer start-sorted,
+  // which pruning and the scan's presorted start events rely on.
+  std::vector<std::vector<ColumnRecord>> rows;
+  std::vector<ColumnBlockInfo> infos;
+  ReadAll(&rows, &infos);
+  std::swap(rows[0][3], rows[0][4]);
+  std::vector<std::string> blocks(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    ASSERT_TRUE(EncodeTemporalBlock(ColumnRecordLayout(), rows[i].data(),
+                                    rows[i].size(), &blocks[i])
+                    .ok());
+  }
+  Rewrite(blocks, infos);
+  ExpectBlockCorruption(0);
+}
+
+TEST_F(ColumnRelationCorruptionTest, RowOutsideTheZoneMapFailsRead) {
+  // Shrink block 1's max_end below its last row's end and reseal the
+  // footer: Open accepts the (self-consistent) footer, the block's CRC
+  // still holds, but a row now lies outside the zone map pruning trusts.
+  std::vector<std::vector<ColumnRecord>> rows;
+  std::vector<ColumnBlockInfo> infos;
+  ReadAll(&rows, &infos);
+  std::vector<std::string> blocks(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    ASSERT_TRUE(EncodeTemporalBlock(ColumnRecordLayout(), rows[i].data(),
+                                    rows[i].size(), &blocks[i])
+                    .ok());
+  }
+  --infos[1].max_end;
+  Rewrite(blocks, infos);
+  ExpectBlockCorruption(1);
+}
 
 TEST_F(ColumnRelationCorruptionTest, BitFlipInBlockFailsReadAsCorruption) {
   // Flip a byte inside the first block's payload: Open (which only reads

@@ -290,6 +290,85 @@ TEST(TemporalColumnTest, Crc32MatchesKnownVector) {
   EXPECT_EQ(Crc32(0, "123456789", 9), 0xCBF43926u);
 }
 
+// The byte-at-a-time CRC-32 the codec used to compute, bit by bit so it
+// shares no table with the code under test.
+uint32_t ByteWiseCrc32(uint32_t crc, const uint8_t* p, size_t n) {
+  crc = ~crc;
+  for (size_t i = 0; i < n; ++i) {
+    crc ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return ~crc;
+}
+
+TEST(TemporalColumnTest, Crc32MatchesByteWiseReferenceAtEveryAlignment) {
+  // Every length around the 8-byte word size, at every misalignment, so
+  // the word loop, the byte tail and unaligned loads are all covered.
+  std::mt19937_64 rng(20260117);
+  std::vector<uint8_t> buf(300 + 8);
+  for (uint8_t& b : buf) b = static_cast<uint8_t>(rng());
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 300; ++len) {
+      const uint8_t* p = buf.data() + offset;
+      ASSERT_EQ(Crc32(0, p, len), ByteWiseCrc32(0, p, len))
+          << "offset " << offset << " length " << len;
+      // A nonzero running CRC must continue the same way.
+      ASSERT_EQ(Crc32(0xDEADBEEFu, p, len),
+                ByteWiseCrc32(0xDEADBEEFu, p, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(TemporalColumnTest, Crc32ChainsAcrossEverySplit) {
+  // The block header CRC is Crc32(Crc32(0, payload), meta): continuing a
+  // CRC over a second buffer must equal the CRC of the concatenation.
+  std::mt19937_64 rng(7);
+  std::vector<uint8_t> buf(300);
+  for (uint8_t& b : buf) b = static_cast<uint8_t>(rng());
+  const uint32_t whole = Crc32(0, buf.data(), buf.size());
+  for (size_t split = 0; split <= buf.size(); ++split) {
+    const uint32_t a = Crc32(0, buf.data(), split);
+    ASSERT_EQ(Crc32(a, buf.data() + split, buf.size() - split), whole)
+        << "split " << split;
+  }
+}
+
+TEST(TemporalColumnTest, DecodeIntoCallerMemoryRoundTrips) {
+  std::vector<EntryRec> recs;
+  for (int i = 0; i < 100; ++i) {
+    recs.push_back({i * 3, i * 3 + (i % 7), i * 0.5});
+  }
+  std::string block;
+  ASSERT_TRUE(
+      EncodeTemporalBlock(EntryLayout(), recs.data(), recs.size(), &block)
+          .ok());
+  std::vector<EntryRec> out(recs.size());
+  auto consumed = DecodeTemporalBlockInto(EntryLayout(), block.data(),
+                                          block.size(), out.size(),
+                                          out.data());
+  ASSERT_TRUE(consumed.ok()) << consumed.status().ToString();
+  EXPECT_EQ(consumed.value(), block.size());
+  EXPECT_EQ(std::memcmp(out.data(), recs.data(),
+                        recs.size() * sizeof(EntryRec)),
+            0);
+}
+
+TEST(TemporalColumnTest, DecodeIntoRejectsACountMismatchUnwritten) {
+  std::vector<EntryRec> recs = {{1, 2, 3.0}, {4, 5, 6.0}};
+  std::string block;
+  ASSERT_TRUE(
+      EncodeTemporalBlock(EntryLayout(), recs.data(), recs.size(), &block)
+          .ok());
+  std::vector<EntryRec> out(3, EntryRec{-1, -1, -1.0});
+  auto got = DecodeTemporalBlockInto(EntryLayout(), block.data(),
+                                     block.size(), out.size(), out.data());
+  EXPECT_TRUE(got.status().IsCorruption()) << got.status().ToString();
+  for (const EntryRec& r : out) EXPECT_EQ(r.start, -1);
+}
+
 // --- the SpillFile codec seam ----------------------------------------------
 
 TEST(TemporalColumnSpillTest, SpillFileCompressedRoundTrip) {

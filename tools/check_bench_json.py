@@ -101,6 +101,7 @@ COLUMNAR_METRIC_COUNTERS = (
     "tagg_column_scan_blocks_decoded_total",
     "tagg_column_scan_bytes_decoded_total",
     "tagg_column_scan_bytes_pruned_total",
+    "tagg_column_scan_rows_decoded_total",
 )
 
 
