@@ -12,21 +12,20 @@
 //     typical serving shape: O(depth + answer) instead of O(n);
 //   * BM_Live_AggregateAt       — the point query, one root path;
 //   * BM_Live_ReaderScaling_*   — ->Threads({1,2,4,8}) pure-reader
-//     scaling, engine/0 = COW-epoch vs engine/1 = shared_lock: the COW
-//     read path takes no lock, so per-thread throughput should hold flat
-//     where the rwlock's cache-line ping-pong degrades it;
+//     scaling: the copy-on-write read path takes no lock, so per-thread
+//     throughput should hold flat as readers are added;
 //   * BM_Live_Concurrent_*      — ->Threads(1+R): thread 0 streams
-//     inserts while R readers query, again per engine; the writer thread
-//     reports the reclamation counters (nodes_retired / nodes_reclaimed /
+//     inserts while R readers query; the writer thread reports the
+//     reclamation counters (nodes_retired / nodes_reclaimed /
 //     retired_pending) so regressions in epoch reclamation show up in the
 //     bench JSON;
-//   * BM_Live_CowIngest         — writer-side batching ablation:
+//   * BM_Live_Ingest            — writer-side batching ablation:
 //     publish-every-N and InsertBatch sizes against the per-insert
-//     publish, plus the locked engine's ingest for reference.
+//     publish.
 //
-// The concurrent fixtures share one index per engine via function-local
-// statics (thread-safe magic statics): google-benchmark runs the function
-// on every thread, so construction must not race.
+// The concurrent fixtures share one index via a function-local static
+// (thread-safe magic statics): google-benchmark runs the function on
+// every thread, so construction must not race.
 
 #include <algorithm>
 #include <atomic>
@@ -58,22 +57,13 @@ const std::vector<Period>& ChurnPeriods() {
   return periods;
 }
 
-std::unique_ptr<LiveAggregateIndex> MakeLoadedIndex(
-    LiveConcurrency concurrency = LiveConcurrency::kCowEpoch) {
-  LiveIndexOptions options;
-  options.concurrency = concurrency;
-  auto index = LiveAggregateIndex::Create(options);
+std::unique_ptr<LiveAggregateIndex> MakeLoadedIndex() {
+  auto index = LiveAggregateIndex::Create(LiveIndexOptions());
   if (!index.ok()) std::abort();
   for (const Period& p : LoadPeriods()) {
     if (!(*index)->Insert(p, 0.0).ok()) std::abort();
   }
   return std::move(index).value();
-}
-
-/// engine/0 = the COW-epoch default, engine/1 = the shared_lock fallback.
-LiveConcurrency EngineArg(const benchmark::State& state) {
-  return state.range(0) == 0 ? LiveConcurrency::kCowEpoch
-                             : LiveConcurrency::kSharedLock;
 }
 
 // --- single-threaded: resident index vs rebuild ------------------------
@@ -153,22 +143,19 @@ void BM_Live_AggregateAt(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 
-// --- concurrent: per-engine reader scaling -----------------------------
+// --- concurrent: reader scaling ----------------------------------------
 
-/// Shared fixture per engine, alive for the whole binary run (the index
-/// keeps absorbing churn across run families; the tree only grows, which
+/// Shared fixture, alive for the whole binary run (the index keeps
+/// absorbing churn across run families; the tree only grows, which
 /// matches a long-lived serving deployment).
 struct ConcurrentShared {
-  explicit ConcurrentShared(LiveConcurrency concurrency)
-      : index(MakeLoadedIndex(concurrency)) {}
-  std::unique_ptr<LiveAggregateIndex> index;
+  std::unique_ptr<LiveAggregateIndex> index = MakeLoadedIndex();
   std::atomic<size_t> churn_cursor{0};
 };
 
-ConcurrentShared& Shared(LiveConcurrency concurrency) {
-  static ConcurrentShared cow(LiveConcurrency::kCowEpoch);
-  static ConcurrentShared locked(LiveConcurrency::kSharedLock);
-  return concurrency == LiveConcurrency::kCowEpoch ? cow : locked;
+ConcurrentShared& Shared() {
+  static ConcurrentShared shared;
+  return shared;
 }
 
 void ReportReclaimCounters(benchmark::State& state,
@@ -182,7 +169,7 @@ void ReportReclaimCounters(benchmark::State& state,
 }
 
 void WriterLoop(benchmark::State& state) {
-  auto& shared = Shared(EngineArg(state));
+  auto& shared = Shared();
   const auto& churn = ChurnPeriods();
   for (auto _ : state) {
     const size_t i =
@@ -198,13 +185,10 @@ void WriterLoop(benchmark::State& state) {
   ReportReclaimCounters(state, *shared.index);
 }
 
-/// Pure reader scaling, no writer: every thread probes points.  The COW
-/// engine's pin is two atomics on a thread-local-ish slot; the rwlock pays
-/// a contended shared-acquire per probe.
+/// Pure reader scaling, no writer: every thread probes points.  A reader's
+/// pin is two atomics on a thread-local-ish slot, with no shared lock.
 void BM_Live_ReaderScaling_PointReads(benchmark::State& state) {
-  auto& shared = Shared(EngineArg(state));
-  state.SetLabel(std::string(
-      LiveConcurrencyToString(shared.index->options().concurrency)));
+  auto& shared = Shared();
   Instant t = 9973 * static_cast<Instant>(state.thread_index() + 1);
   for (auto _ : state) {
     auto value = shared.index->AggregateAt(t % kLifespan);
@@ -226,9 +210,7 @@ void BM_Live_Concurrent_PointReads(benchmark::State& state) {
     WriterLoop(state);
     return;
   }
-  auto& shared = Shared(EngineArg(state));
-  state.SetLabel(std::string(
-      LiveConcurrencyToString(shared.index->options().concurrency)));
+  auto& shared = Shared();
   Instant t = 9973 * state.thread_index();
   for (auto _ : state) {
     auto value = shared.index->AggregateAt(t % kLifespan);
@@ -247,9 +229,7 @@ void BM_Live_Concurrent_RangeReads(benchmark::State& state) {
     WriterLoop(state);
     return;
   }
-  auto& shared = Shared(EngineArg(state));
-  state.SetLabel(std::string(
-      LiveConcurrencyToString(shared.index->options().concurrency)));
+  auto& shared = Shared();
   constexpr Instant kWidth = kLifespan / 100;
   Instant lo = kWidth * static_cast<Instant>(state.thread_index());
   for (auto _ : state) {
@@ -269,18 +249,16 @@ void BM_Live_Concurrent_RangeReads(benchmark::State& state) {
 // --- writer-side batching ablation -------------------------------------
 
 /// Fresh-index ingest of a fixed tuple prefix per iteration.
-/// publish_every/N amortizes the COW path copy across N inserts;
-/// batch/B uses InsertBatch in chunks of B (publish_every is then moot —
-/// one publish per chunk).  engine/1 gives the locked baseline.
+/// publish_every/N amortizes the path copy across N inserts; batch/B uses
+/// InsertBatch in chunks of B (publish_every is then moot — one publish
+/// per chunk).
 void BM_Live_Ingest(benchmark::State& state) {
-  const LiveConcurrency engine = EngineArg(state);
-  const size_t publish_every = static_cast<size_t>(state.range(1));
-  const size_t batch_size = static_cast<size_t>(state.range(2));
+  const size_t publish_every = static_cast<size_t>(state.range(0));
+  const size_t batch_size = static_cast<size_t>(state.range(1));
   constexpr size_t kIngest = 20'000;
   const auto& periods = LoadPeriods();
   for (auto _ : state) {
     LiveIndexOptions options;
-    options.concurrency = engine;
     options.publish_every_n = publish_every;
     auto index = LiveAggregateIndex::Create(options);
     if (!index.ok()) {
@@ -319,22 +297,16 @@ BENCHMARK(BM_Live_RebuildPerQuery)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Live_AggregateOverAll)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Live_AggregateOverNarrow)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_Live_AggregateAt)->Unit(benchmark::kMicrosecond);
-// {1,2,4,8} pure readers, both engines.
+// {1,2,4,8} pure readers.
 BENCHMARK(BM_Live_ReaderScaling_PointReads)
-    ->ArgNames({"engine"})
-    ->Arg(0)
-    ->Arg(1)
     ->Threads(1)
     ->Threads(2)
     ->Threads(4)
     ->Threads(8)
     ->Unit(benchmark::kMicrosecond)
     ->UseRealTime();
-// 1 writer + {1,2,4,8} readers, both engines.
+// 1 writer + {1,2,4,8} readers.
 BENCHMARK(BM_Live_Concurrent_PointReads)
-    ->ArgNames({"engine"})
-    ->Arg(0)
-    ->Arg(1)
     ->Threads(2)
     ->Threads(3)
     ->Threads(5)
@@ -342,27 +314,20 @@ BENCHMARK(BM_Live_Concurrent_PointReads)
     ->Unit(benchmark::kMicrosecond)
     ->UseRealTime();
 BENCHMARK(BM_Live_Concurrent_RangeReads)
-    ->ArgNames({"engine"})
-    ->Arg(0)
-    ->Arg(1)
     ->Threads(2)
     ->Threads(3)
     ->Threads(5)
     ->Threads(9)
     ->Unit(benchmark::kMicrosecond)
     ->UseRealTime();
-// Batching ablation: COW per-insert publish vs publish-every-N vs
-// InsertBatch, with the locked engine's singleton and batched ingest as
-// the baseline.
+// Batching ablation: per-insert publish vs publish-every-N vs InsertBatch.
 BENCHMARK(BM_Live_Ingest)
-    ->ArgNames({"engine", "publish_every", "batch"})
-    ->Args({0, 1, 0})
-    ->Args({0, 16, 0})
-    ->Args({0, 256, 0})
-    ->Args({0, 1, 64})
-    ->Args({0, 1, 1024})
-    ->Args({1, 1, 0})
-    ->Args({1, 1, 1024})
+    ->ArgNames({"publish_every", "batch"})
+    ->Args({1, 0})
+    ->Args({16, 0})
+    ->Args({256, 0})
+    ->Args({1, 64})
+    ->Args({1, 1024})
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -37,75 +37,6 @@
 namespace tagg {
 namespace internal {
 
-// ---------------------------------------------------------------------------
-// Read-only walks shared by every split-tree node layout
-// ---------------------------------------------------------------------------
-//
-// The batch SplitTree below and the live layer's copy-on-write tree
-// (live/cow_index.h) use different node structs (the COW node carries a
-// version tag) but identical Section 5.1 semantics.  These walks are
-// generic over the node type and take only const pointers, so concurrent
-// readers can run them over immutable published nodes with no shared
-// mutable scratch and zero atomics in the descent loop.
-
-/// The aggregate's state at instant `t`: the Combine of every partial
-/// state on the root path to the leaf whose range contains t (Section
-/// 5.1's leaf evaluation, without materializing any other leaf).
-template <typename Op, typename NodeT>
-typename Op::State DescendCombineAt(const Op& op, const NodeT* root,
-                                    Instant t) {
-  typename Op::State acc = op.Identity();
-  const NodeT* n = root;
-  while (true) {
-    acc = op.Combine(acc, n->state);
-    if (n->IsLeaf()) break;
-    n = t <= n->split ? n->left : n->right;
-  }
-  return acc;
-}
-
-/// In-order walk over the part of the tree overlapping `query`, with leaf
-/// ranges clipped to the query period; calls emit(lo, hi, state) per
-/// constant interval.  Subtrees disjoint from the query are pruned at
-/// their topmost node (the canonical-cover shortcut), so the walk visits
-/// O(depth + leaves overlapping query) nodes.  The stack is function-
-/// local: safe for any number of concurrent readers.
-template <typename Op, typename NodeT, typename EmitFn>
-void WalkTreeRange(const Op& op, const NodeT* root, Instant root_lo,
-                   const Period& query, EmitFn&& emit) {
-  using State = typename Op::State;
-  struct Frame {
-    const NodeT* n;
-    Instant lo;
-    Instant hi;
-    State acc;
-  };
-  std::vector<Frame> stack;
-  stack.reserve(64);  // bounded by tree depth
-  Frame f{root, root_lo, kForever, op.Identity()};
-  while (true) {
-    // Descend the left spine in place, stacking only right siblings:
-    // left children never round-trip through the stack, which halves
-    // the frame traffic of the naive push-both scheme.
-    for (;;) {
-      const Instant cs = f.lo > query.start() ? f.lo : query.start();
-      const Instant ce = f.hi < query.end() ? f.hi : query.end();
-      if (cs > ce) break;  // disjoint from the query: prune
-      const NodeT* n = f.n;
-      const State combined = op.Combine(f.acc, n->state);
-      if (n->IsLeaf()) {
-        emit(cs, ce, combined);
-        break;
-      }
-      stack.push_back({n->right, n->split + 1, f.hi, combined});
-      f = {n->left, f.lo, n->split, combined};
-    }
-    if (stack.empty()) return;
-    f = stack.back();
-    stack.pop_back();
-  }
-}
-
 /// Shared machinery of the aggregation tree and the k-ordered aggregation
 /// tree: node layout, insertion, in-order emission, subtree disposal.
 /// State must be a trivially destructible value type.
@@ -133,13 +64,6 @@ struct SplitTree {
   Op op;
   /// Nodes visited across all insertions (complexity instrumentation).
   size_t work_steps = 0;
-  /// Depth maintained incrementally on the insert path: splits create
-  /// children one level below the split leaf, so the running maximum is
-  /// exact while the tree only grows (the live index's case) and an upper
-  /// bound once FreeSubtree has garbage-collected a prefix (the k-ordered
-  /// tree).  Lets serving-path stats report depth without the O(n) walk
-  /// of Depth().
-  size_t tracked_depth = 1;
 
   explicit SplitTree(Op op_instance = Op())
       : arena(sizeof(Node)), root(nullptr), lo(kOrigin),
@@ -160,7 +84,7 @@ struct SplitTree {
   /// explicit stack) because a sorted relation drives the depth to O(n).
   void Add(Instant s, Instant e, Input input) {
     add_stack_.clear();
-    add_stack_.push_back({root, lo, kForever, 1});
+    add_stack_.push_back({root, lo, kForever});
     while (!add_stack_.empty()) {
       const Frame f = add_stack_.back();
       add_stack_.pop_back();
@@ -174,19 +98,16 @@ struct SplitTree {
       }
       if (f.n->IsLeaf()) {
         // Partially overlapped leaf: split at the first boundary that
-        // falls strictly inside the range.  Both fresh children sit one
-        // level deeper, including the one this insert never descends
-        // into, so the depth update happens here, not at the push.
+        // falls strictly inside the range.
         f.n->split = (cs > f.lo) ? cs - 1 : ce;
         f.n->left = NewLeaf();
         f.n->right = NewLeaf();
-        if (f.depth + 1 > tracked_depth) tracked_depth = f.depth + 1;
       }
       if (cs <= f.n->split) {
-        add_stack_.push_back({f.n->left, f.lo, f.n->split, f.depth + 1});
+        add_stack_.push_back({f.n->left, f.lo, f.n->split});
       }
       if (ce > f.n->split) {
-        add_stack_.push_back({f.n->right, f.n->split + 1, f.hi, f.depth + 1});
+        add_stack_.push_back({f.n->right, f.n->split + 1, f.hi});
       }
     }
   }
@@ -287,7 +208,6 @@ struct SplitTree {
     Node* n;
     Instant lo;
     Instant hi;
-    size_t depth;
   };
   struct EmitFrame {
     const Node* n;

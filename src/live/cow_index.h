@@ -1,10 +1,11 @@
 // Copy-on-write live index engine: lock-free snapshot reads.
 //
-// The v1 engine (live/live_index.h + live/snapshot.h) mutates one
-// SplitTree in place behind a shared_mutex, so every probe pays a lock
-// round-trip and readers stall whenever the ingest thread holds the
-// writer section.  This engine removes the lock from the read path
-// entirely, keeping Section 5.1 semantics unchanged:
+// The live index's one engine.  An in-place SplitTree behind a
+// shared_mutex would make every probe pay a lock round-trip and stall
+// readers whenever the ingest thread holds the writer section; this
+// engine keeps the lock off the read path entirely, with Section 5.1
+// semantics unchanged (the differential harness requires its series to
+// be bit-identical to the batch aggregation tree's):
 //
 //   * Nodes are immutable once published.  An insert *path-copies* the
 //     O(depth) root-to-boundary nodes it would have mutated (the standard
@@ -32,16 +33,16 @@
 // full O(depth) path copy.  InsertBatch() and the publish_every_n option
 // amortize it — inserts between publishes find most of their path
 // already tagged with the building version (the first insert copied it)
-// and mutate those private nodes in place, so bulk ingest approaches the
-// in-place engine's cost while readers still only ever see complete
+// and mutate those private nodes in place, so bulk ingest approaches an
+// in-place tree's cost while readers still only ever see complete
 // batches.
 //
-// Single writer at a time (an internal mutex serializes writers, same
-// contract as SnapshotGate); any number of readers.  Destruction requires
-// all readers drained, as before.
+// Single writer at a time (an internal mutex serializes writers); any
+// number of readers.  Destruction requires all readers drained.
 
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -49,7 +50,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/aggregation_tree.h"
+#include "core/aggregates.h"
 #include "core/node_arena.h"
 #include "live/epoch.h"
 #include "live/live_index.h"
@@ -151,7 +152,7 @@ class CowLiveIndexImpl final : public LiveAggregateIndex {
     EpochGate::Pin pin = gate_.EnterReader();
     const VersionRecord* rec = record_.load(std::memory_order_acquire);
     if (snapshot_epoch != nullptr) *snapshot_epoch = rec->tuples_seen;
-    return Op::Finalize(DescendCombineAt(op_, rec->root, t));
+    return Op::Finalize(DescendAt(rec->root, t));
   }
 
   Result<AggregateSeries> AggregateOver(
@@ -165,12 +166,19 @@ class CowLiveIndexImpl final : public LiveAggregateIndex {
       EpochGate::Pin pin = gate_.EnterReader();
       const VersionRecord* rec = record_.load(std::memory_order_acquire);
       if (snapshot_epoch != nullptr) *snapshot_epoch = rec->tuples_seen;
-      series.intervals.reserve(SeriesReserveBound(rec->live_nodes, query));
-      WalkTreeRange(op_, rec->root, kOrigin, query,
-                    [&](Instant lo, Instant hi, const State& st) {
-                      series.intervals.push_back(
-                          {Period(lo, hi), Op::Finalize(st)});
-                    });
+      // Reserve the leaf-count bound, clamped by the query's width (an
+      // interval covers at least one instant; a closed period inside the
+      // time-line has a width that fits in uint64), so point-ish probes
+      // do not pre-allocate for the whole tree.
+      const uint64_t width = static_cast<uint64_t>(query.end()) -
+                             static_cast<uint64_t>(query.start()) + 1;
+      series.intervals.reserve(static_cast<size_t>(
+          std::min<uint64_t>(width, rec->live_nodes / 2 + 1)));
+      WalkRange(rec->root, query,
+                [&](Instant lo, Instant hi, const State& st) {
+                  series.intervals.push_back(
+                      {Period(lo, hi), Op::Finalize(st)});
+                });
       series.stats.tuples_processed = rec->inserts_absorbed;
       series.stats.peak_live_nodes = rec->live_nodes;
       series.stats.peak_live_bytes = rec->live_bytes;
@@ -194,10 +202,9 @@ class CowLiveIndexImpl final : public LiveAggregateIndex {
     const VersionRecord* rec = record_.load(std::memory_order_acquire);
     if (snapshot_epoch != nullptr) *snapshot_epoch = rec->tuples_seen;
     State acc = op_.Identity();
-    WalkTreeRange(op_, rec->root, kOrigin, query,
-                  [&](Instant, Instant, const State& st) {
-                    acc = op_.Combine(acc, st);
-                  });
+    WalkRange(rec->root, query, [&](Instant, Instant, const State& st) {
+      acc = op_.Combine(acc, st);
+    });
     return Op::Finalize(acc);
   }
 
@@ -254,6 +261,59 @@ class CowLiveIndexImpl final : public LiveAggregateIndex {
     size_t total_allocated;
     size_t depth;
   };
+
+  /// The aggregate's state at instant `t`: the Combine of every partial
+  /// state on the root path to the leaf whose range contains t (Section
+  /// 5.1's leaf evaluation, without materializing any other leaf).
+  State DescendAt(const Node* n, Instant t) const {
+    State acc = op_.Identity();
+    while (true) {
+      acc = op_.Combine(acc, n->state);
+      if (n->IsLeaf()) return acc;
+      n = t <= n->split ? n->left : n->right;
+    }
+  }
+
+  /// In-order walk over the part of the tree overlapping `query`, with
+  /// leaf ranges clipped to the query period; calls emit(lo, hi, state)
+  /// per constant interval.  Subtrees disjoint from the query are pruned
+  /// at their topmost node (the canonical-cover shortcut), so the walk
+  /// visits O(depth + leaves overlapping query) nodes.  The stack is
+  /// function-local and nodes are only read: safe for any number of
+  /// concurrent readers, with zero atomics in the loop.
+  template <typename EmitFn>
+  void WalkRange(const Node* root, const Period& query, EmitFn&& emit) const {
+    struct Frame {
+      const Node* n;
+      Instant lo;
+      Instant hi;
+      State acc;
+    };
+    std::vector<Frame> stack;
+    stack.reserve(64);  // bounded by tree depth
+    Frame f{root, kOrigin, kForever, op_.Identity()};
+    while (true) {
+      // Descend the left spine in place, stacking only right siblings:
+      // left children never round-trip through the stack, which halves
+      // the frame traffic of the naive push-both scheme.
+      for (;;) {
+        const Instant cs = f.lo > query.start() ? f.lo : query.start();
+        const Instant ce = f.hi < query.end() ? f.hi : query.end();
+        if (cs > ce) break;  // disjoint from the query: prune
+        const Node* n = f.n;
+        const State combined = op_.Combine(f.acc, n->state);
+        if (n->IsLeaf()) {
+          emit(cs, ce, combined);
+          break;
+        }
+        stack.push_back({n->right, n->split + 1, f.hi, combined});
+        f = {n->left, f.lo, n->split, combined};
+      }
+      if (stack.empty()) return;
+      f = stack.back();
+      stack.pop_back();
+    }
+  }
 
   struct AddFrame {
     Node* n;  // already private to the building version

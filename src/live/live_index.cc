@@ -30,16 +30,6 @@ obs::Counter& LiveProbesTotal() {
 
 }  // namespace internal
 
-std::string_view LiveConcurrencyToString(LiveConcurrency concurrency) {
-  switch (concurrency) {
-    case LiveConcurrency::kCowEpoch:
-      return "cow_epoch";
-    case LiveConcurrency::kSharedLock:
-      return "shared_lock";
-  }
-  return "unknown";
-}
-
 std::string LiveIndexStats::ToString() const {
   return StringPrintf(
       "epoch=%llu absorbed=%llu queries=%llu age=%.3fs depth=%zu "
@@ -52,16 +42,6 @@ std::string LiveIndexStats::ToString() const {
       paper_bytes, static_cast<unsigned long long>(versions_published),
       static_cast<unsigned long long>(nodes_retired),
       static_cast<unsigned long long>(nodes_reclaimed), retired_pending);
-}
-
-Status LiveAggregateIndex::InsertBatch(
-    const std::vector<std::pair<Period, double>>& batch) {
-  // Default: semantics of N singleton inserts.  Engines override to
-  // amortize publication over the batch.
-  for (const auto& [valid, input] : batch) {
-    TAGG_RETURN_IF_ERROR(Insert(valid, input));
-  }
-  return Status::OK();
 }
 
 Status LiveAggregateIndex::InsertTuple(const Tuple& tuple) {
@@ -126,30 +106,6 @@ Status LiveAggregateIndex::InsertTuples(const std::vector<Tuple>& tuples) {
   return Status::OK();
 }
 
-namespace internal {
-
-/// Instantiates engine `Engine<Op>` for the requested monoid.
-template <template <typename> class Engine>
-Result<std::unique_ptr<LiveAggregateIndex>> MakeEngine(
-    const LiveIndexOptions& options) {
-  switch (options.aggregate) {
-    case AggregateKind::kCount:
-      return std::unique_ptr<LiveAggregateIndex>(
-          new Engine<CountOp>(options));
-    case AggregateKind::kSum:
-      return std::unique_ptr<LiveAggregateIndex>(new Engine<SumOp>(options));
-    case AggregateKind::kMin:
-      return std::unique_ptr<LiveAggregateIndex>(new Engine<MinOp>(options));
-    case AggregateKind::kMax:
-      return std::unique_ptr<LiveAggregateIndex>(new Engine<MaxOp>(options));
-    case AggregateKind::kAvg:
-      return std::unique_ptr<LiveAggregateIndex>(new Engine<AvgOp>(options));
-  }
-  return Status::InvalidArgument("unknown aggregate kind");
-}
-
-}  // namespace internal
-
 Result<std::unique_ptr<LiveAggregateIndex>> LiveAggregateIndex::Create(
     const LiveIndexOptions& options) {
   if (options.aggregate != AggregateKind::kCount &&
@@ -158,13 +114,19 @@ Result<std::unique_ptr<LiveAggregateIndex>> LiveAggregateIndex::Create(
         std::string(AggregateKindToString(options.aggregate)) +
         " live index requires an attribute to aggregate");
   }
-  switch (options.concurrency) {
-    case LiveConcurrency::kCowEpoch:
-      return internal::MakeEngine<internal::CowLiveIndexImpl>(options);
-    case LiveConcurrency::kSharedLock:
-      return internal::MakeEngine<internal::LiveIndexImpl>(options);
+  const auto make =
+      [&options](auto op) -> Result<std::unique_ptr<LiveAggregateIndex>> {
+    return std::unique_ptr<LiveAggregateIndex>(
+        new internal::CowLiveIndexImpl<decltype(op)>(options, op));
+  };
+  switch (options.aggregate) {
+    case AggregateKind::kCount: return make(CountOp());
+    case AggregateKind::kSum: return make(SumOp());
+    case AggregateKind::kMin: return make(MinOp());
+    case AggregateKind::kMax: return make(MaxOp());
+    case AggregateKind::kAvg: return make(AvgOp());
   }
-  return Status::InvalidArgument("unknown live concurrency engine");
+  return Status::InvalidArgument("unknown aggregate kind");
 }
 
 }  // namespace tagg

@@ -8,10 +8,12 @@
 #include <cstdint>
 #include <filesystem>
 #include <iterator>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -172,6 +174,37 @@ class ConditioningCursor {
   size_t i_ = 0;
 };
 
+/// Walks two partitions of the same span as step functions over their
+/// merged boundaries, so coalescing differences cannot register as
+/// divergences, and matches the values of every segment.
+Status StepwiseMatch(const std::vector<ResultInterval>& expected,
+                     const std::vector<ResultInterval>& actual,
+                     AggregateKind kind, double relative_tolerance,
+                     const std::vector<ResultInterval>* conditioning) {
+  ConditioningCursor condition(conditioning);
+  size_t ie = 0;
+  size_t ia = 0;
+  while (ie < expected.size() && ia < actual.size()) {
+    const ResultInterval& re = expected[ie];
+    const ResultInterval& ra = actual[ia];
+    const Instant seg_lo = std::max(re.period.start(), ra.period.start());
+    const Instant seg_hi = std::min(re.period.end(), ra.period.end());
+    const Status match = ValuesMatch(re.value, ra.value, kind,
+                                     relative_tolerance,
+                                     condition.MaxOver(seg_lo, seg_hi));
+    if (!match.ok()) {
+      return Status::Internal("over [" + InstantToString(seg_lo) + ", " +
+                              InstantToString(seg_hi) + "]: " +
+                              std::string(match.message()));
+    }
+    const Instant ee = re.period.end();
+    const Instant ea = ra.period.end();
+    if (ee <= ea) ++ie;
+    if (ea <= ee) ++ia;
+  }
+  return Status::OK();
+}
+
 Result<std::vector<ResultInterval>> BatchSeries(
     const Relation& relation, const AggregateOptions& options) {
   TAGG_ASSIGN_OR_RETURN(AggregateSeries series,
@@ -213,36 +246,47 @@ struct ColumnFileRemover {
   }
 };
 
-Result<std::vector<ResultInterval>> LiveSeries(const Relation& relation,
-                                               AggregateKind aggregate,
-                                               size_t attribute,
-                                               LiveConcurrency concurrency,
-                                               bool use_batch) {
+/// The (validity, input) pairs InsertBatch takes for `relation`.  The
+/// generated workloads carry no NULL salaries, so this matches what
+/// InsertTuple would fold.
+Result<std::vector<std::pair<Period, double>>> BatchInputs(
+    const Relation& relation, AggregateKind aggregate, size_t attribute) {
+  std::vector<std::pair<Period, double>> batch;
+  batch.reserve(relation.size());
+  for (const Tuple& tuple : relation) {
+    double input = 0.0;
+    if (aggregate != AggregateKind::kCount) {
+      TAGG_ASSIGN_OR_RETURN(input, tuple.value(attribute).ToNumeric());
+    }
+    batch.emplace_back(tuple.valid(), input);
+  }
+  return batch;
+}
+
+/// Loads `relation` into a live index — tuple-at-a-time or as one
+/// InsertBatch, which must land the exact same tree — probes AggregateAt
+/// at `instants` into `at`, and returns the full coalesced series.
+Result<std::vector<ResultInterval>> LiveSeries(
+    const Relation& relation, AggregateKind aggregate, size_t attribute,
+    bool use_batch, const std::vector<Instant>& instants,
+    std::vector<Value>* at) {
   LiveIndexOptions options;
   options.aggregate = aggregate;
   options.attribute = attribute;
-  options.concurrency = concurrency;
   TAGG_ASSIGN_OR_RETURN(std::unique_ptr<LiveAggregateIndex> index,
                         LiveAggregateIndex::Create(options));
   if (use_batch) {
-    // One InsertBatch per relation: the amortized writer path must land
-    // the exact same tree as tuple-at-a-time inserts.  The generated
-    // workloads carry no NULL salaries, so extracting the input here
-    // matches InsertTuple's behaviour.
-    std::vector<std::pair<Period, double>> batch;
-    batch.reserve(relation.size());
-    for (const Tuple& tuple : relation) {
-      double input = 0.0;
-      if (aggregate != AggregateKind::kCount) {
-        TAGG_ASSIGN_OR_RETURN(input, tuple.value(attribute).ToNumeric());
-      }
-      batch.emplace_back(tuple.valid(), input);
-    }
+    TAGG_ASSIGN_OR_RETURN(const auto batch,
+                          BatchInputs(relation, aggregate, attribute));
     TAGG_RETURN_IF_ERROR(index->InsertBatch(batch));
   } else {
     for (const Tuple& tuple : relation) {
       TAGG_RETURN_IF_ERROR(index->InsertTuple(tuple));
     }
+  }
+  for (const Instant t : instants) {
+    TAGG_ASSIGN_OR_RETURN(Value value, index->AggregateAt(t));
+    at->push_back(std::move(value));
   }
   TAGG_ASSIGN_OR_RETURN(AggregateSeries series,
                         index->AggregateOver(Period::All(),
@@ -269,11 +313,13 @@ Result<Catalog> ShardedCatalogFor(const Relation& relation) {
 
 /// Loads `relation` through a ShardedLiveService — tuple-at-a-time or
 /// batched, optionally rebalancing mid-stream or splitting a shard after
-/// the load — and scatter-gathers the full series.
+/// the load — probes AggregateAt at `instants` into `at`, and
+/// scatter-gathers the full series.
 Result<std::vector<ResultInterval>> ShardedSeries(
     const Relation& relation, AggregateKind aggregate, size_t attribute,
     size_t shards, size_t workers, bool use_batch, bool rebalance_midway,
-    bool split_after) {
+    bool split_after, const std::vector<Instant>& instants,
+    std::vector<Value>* at) {
   TAGG_ASSIGN_OR_RETURN(Catalog catalog, ShardedCatalogFor(relation));
   shard::ShardedServiceOptions options;
   options.shards = shards;
@@ -314,6 +360,12 @@ Result<std::vector<ResultInterval>> ShardedSeries(
   if (split_after) {
     TAGG_RETURN_IF_ERROR(service.SplitShard(0));
   }
+  for (const Instant t : instants) {
+    TAGG_ASSIGN_OR_RETURN(
+        Value value,
+        service.AggregateAt(relation.name(), aggregate, attribute, t));
+    at->push_back(std::move(value));
+  }
   TAGG_ASSIGN_OR_RETURN(
       AggregateSeries series,
       service.AggregateOver(relation.name(), aggregate, attribute,
@@ -321,10 +373,9 @@ Result<std::vector<ResultInterval>> ShardedSeries(
   return std::move(series.intervals);
 }
 
-/// Exact (no-tolerance) equality of two engines' series.  Both engines
-/// execute the identical Add sequence in identical order, so even SUM/AVG
-/// must agree bit for bit; any difference is an engine bug, not float
-/// noise.
+/// Exact (no-tolerance) equality of two series.  Where both sides
+/// execute the identical Add sequence in identical order, even SUM/AVG
+/// must agree bit for bit; any difference is a bug, not float noise.
 Status SeriesTupleIdentical(const std::vector<ResultInterval>& a,
                             const std::vector<ResultInterval>& b) {
   if (a == b) return Status::OK();
@@ -332,14 +383,93 @@ Status SeriesTupleIdentical(const std::vector<ResultInterval>& a,
   for (size_t i = 0; i < n; ++i) {
     if (!(a[i] == b[i])) {
       return Status::Internal(
-          "engine series diverge at interval " + std::to_string(i) + ": " +
+          "series diverge at interval " + std::to_string(i) + ": " +
           a[i].period.ToString() + "=" + a[i].value.ToString() + " vs " +
           b[i].period.ToString() + "=" + b[i].value.ToString());
     }
   }
-  return Status::Internal("engine series differ in length: " +
+  return Status::Internal("series differ in length: " +
                           std::to_string(a.size()) + " vs " +
                           std::to_string(b.size()) + " intervals");
+}
+
+/// Up to 16 instants worth probing: the ends of the time-line plus the
+/// start, end and end + 1 of tuples drawn at random, where the step
+/// function changes value.
+std::vector<Instant> TimesliceInstants(const Relation& relation,
+                                       uint64_t seed) {
+  std::vector<Instant> instants = {kOrigin, kForever};
+  Rng rng(seed ^ 0x2545F4914F6CDD1Dull);
+  while (!relation.empty() && instants.size() + 3 <= 16) {
+    const Period& p = relation.tuple(rng.Uniform(0, relation.size() - 1))
+                          .valid();
+    instants.insert(instants.end(), {p.start(), p.end()});
+    if (p.end() < kForever) instants.push_back(p.end() + 1);
+  }
+  return instants;
+}
+
+/// Snapshot reducibility: the temporal aggregate at `t` equals the plain
+/// non-temporal aggregate over the tuples whose period contains `t`,
+/// duplicates kept.  A direct loop, independent of every algorithm under
+/// test; the empty set follows the index's identity convention (COUNT is
+/// 0, the others NULL).  `conditioning` receives the sum of |input| over
+/// the timeslice, the C(I) scale of the SUM/AVG tolerance.
+Result<Value> TimesliceAggregate(const Relation& relation,
+                                 AggregateKind aggregate, size_t attribute,
+                                 Instant t, double* conditioning) {
+  std::vector<double> inputs;
+  for (const Tuple& tuple : relation) {
+    if (t < tuple.start() || t > tuple.end()) continue;
+    if (attribute == AggregateOptions::kNoAttribute) {
+      inputs.push_back(0.0);
+    } else if (!tuple.value(attribute).is_null()) {
+      TAGG_ASSIGN_OR_RETURN(const double x,
+                            tuple.value(attribute).ToNumeric());
+      inputs.push_back(x);
+    }
+  }
+  double sum = 0.0;
+  *conditioning = 0.0;
+  for (const double x : inputs) {
+    sum += x;
+    *conditioning += std::abs(x);
+  }
+  if (aggregate == AggregateKind::kCount) {
+    return Value::Int(static_cast<int64_t>(inputs.size()));
+  }
+  if (inputs.empty()) return Value::Null();
+  switch (aggregate) {
+    case AggregateKind::kMin:
+      return Value::Double(*std::min_element(inputs.begin(), inputs.end()));
+    case AggregateKind::kMax:
+      return Value::Double(*std::max_element(inputs.begin(), inputs.end()));
+    case AggregateKind::kAvg:
+      return Value::Double(sum / static_cast<double>(inputs.size()));
+    default: return Value::Double(sum);
+  }
+}
+
+/// Checks an index's AggregateAt answers `at` (one per instant) against
+/// the timeslice oracle: COUNT/MIN/MAX exactly, SUM/AVG within the
+/// conditioning-scaled tolerance.
+Status CheckTimeslice(const Relation& relation, AggregateKind aggregate,
+                      size_t attribute, const std::vector<Instant>& instants,
+                      const std::vector<Value>& at, double tol) {
+  for (size_t i = 0; i < instants.size(); ++i) {
+    double conditioning = 0.0;
+    TAGG_ASSIGN_OR_RETURN(
+        const Value expected,
+        TimesliceAggregate(relation, aggregate, attribute, instants[i],
+                           &conditioning));
+    const Status match =
+        ValuesMatch(expected, at[i], aggregate, tol, conditioning);
+    if (!match.ok()) {
+      return Status::Internal("timeslice at " + InstantToString(instants[i]) +
+                              ": " + std::string(match.message()));
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -529,31 +659,8 @@ Status CompareSeries(const std::vector<ResultInterval>& expected,
                      const std::vector<ResultInterval>* conditioning) {
   TAGG_RETURN_IF_ERROR(ValidatePartition(expected));
   TAGG_RETURN_IF_ERROR(ValidatePartition(actual));
-  // Walk both partitions of [kOrigin, kForever] as step functions over
-  // their merged boundaries; coalescing differences then cannot register
-  // as divergences.
-  ConditioningCursor condition(conditioning);
-  size_t ie = 0;
-  size_t ia = 0;
-  while (ie < expected.size() && ia < actual.size()) {
-    const ResultInterval& re = expected[ie];
-    const ResultInterval& ra = actual[ia];
-    const Instant seg_lo = std::max(re.period.start(), ra.period.start());
-    const Instant seg_hi = std::min(re.period.end(), ra.period.end());
-    const Status match = ValuesMatch(re.value, ra.value, kind,
-                                     relative_tolerance,
-                                     condition.MaxOver(seg_lo, seg_hi));
-    if (!match.ok()) {
-      return Status::Internal("over [" + InstantToString(seg_lo) + ", " +
-                              InstantToString(seg_hi) + "]: " +
-                              std::string(match.message()));
-    }
-    const Instant ee = re.period.end();
-    const Instant ea = ra.period.end();
-    if (ee <= ea) ++ie;
-    if (ea <= ee) ++ia;
-  }
-  return Status::OK();
+  return StepwiseMatch(expected, actual, kind, relative_tolerance,
+                       conditioning);
 }
 
 /// CompareSeries restricted to a window: both series must partition
@@ -590,28 +697,8 @@ Status CompareWindowedSeries(const std::vector<ResultInterval>& expected,
   };
   TAGG_RETURN_IF_ERROR(validate(expected, "expected"));
   TAGG_RETURN_IF_ERROR(validate(actual, "actual"));
-  ConditioningCursor condition(conditioning);
-  size_t ie = 0;
-  size_t ia = 0;
-  while (ie < expected.size() && ia < actual.size()) {
-    const ResultInterval& re = expected[ie];
-    const ResultInterval& ra = actual[ia];
-    const Instant seg_lo = std::max(re.period.start(), ra.period.start());
-    const Instant seg_hi = std::min(re.period.end(), ra.period.end());
-    const Status match = ValuesMatch(re.value, ra.value, kind,
-                                     relative_tolerance,
-                                     condition.MaxOver(seg_lo, seg_hi));
-    if (!match.ok()) {
-      return Status::Internal("over [" + InstantToString(seg_lo) + ", " +
-                              InstantToString(seg_hi) + "]: " +
-                              std::string(match.message()));
-    }
-    const Instant ee = re.period.end();
-    const Instant ea = ra.period.end();
-    if (ee <= ea) ++ie;
-    if (ea <= ee) ++ia;
-  }
-  return Status::OK();
+  return StepwiseMatch(expected, actual, kind, relative_tolerance,
+                       conditioning);
 }
 
 Status RunDifferentialSeed(uint64_t seed, const DifferentialOptions& options,
@@ -650,6 +737,7 @@ Status RunDifferentialSeed(uint64_t seed, const DifferentialOptions& options,
     column = std::move(written.value());
   }
 
+  const std::vector<Instant> instants = TimesliceInstants(relation, seed);
   for (const AggregateKind aggregate : kAllAggregates) {
     const size_t attribute = AttributeFor(aggregate);
     const std::vector<ResultInterval>* condition =
@@ -689,10 +777,18 @@ Status RunDifferentialSeed(uint64_t seed, const DifferentialOptions& options,
       return Status::OK();
     };
 
-    // Batch algorithms.
+    // Batch algorithms.  The aggregation tree's series is kept: the live
+    // index runs the same SplitTree::Add sequence and must match it bit
+    // for bit.
+    AggregateOptions tree_opts = base;
+    tree_opts.algorithm = AlgorithmKind::kAggregationTree;
+    const Result<std::vector<ResultInterval>> tree =
+        BatchSeries(relation, tree_opts);
+    TAGG_RETURN_IF_ERROR(
+        check(AlgorithmKindToString(AlgorithmKind::kAggregationTree), tree));
     for (const AlgorithmKind algorithm :
-         {AlgorithmKind::kLinkedList, AlgorithmKind::kAggregationTree,
-          AlgorithmKind::kBalancedTree, AlgorithmKind::kTwoScan}) {
+         {AlgorithmKind::kLinkedList, AlgorithmKind::kBalancedTree,
+          AlgorithmKind::kTwoScan}) {
       AggregateOptions opts = base;
       opts.algorithm = algorithm;
       TAGG_RETURN_IF_ERROR(check(AlgorithmKindToString(algorithm),
@@ -853,38 +949,47 @@ Status RunDifferentialSeed(uint64_t seed, const DifferentialOptions& options,
       }
     }
 
-    // The unsharded COW series doubles as the identity oracle for the
+    // Snapshot reducibility: every loaded index's AggregateAt must equal
+    // the non-temporal aggregate over the timeslice.
+    const auto check_timeslice = [&](std::string_view config,
+                                     const std::vector<Value>& at) -> Status {
+      const Status status =
+          CheckTimeslice(relation, aggregate, attribute, instants, at,
+                         options.relative_tolerance);
+      if (!status.ok()) {
+        return Divergence(seed, info, aggregate, config, status.message());
+      }
+      if (comparisons != nullptr) ++*comparisons;
+      return Status::OK();
+    };
+
+    // The unsharded live series doubles as the identity oracle for the
     // sharded configurations below.
     std::vector<ResultInterval> cow_series;
     bool have_cow = false;
 
     if (options.include_live_index) {
-      Result<std::vector<ResultInterval>> locked =
-          LiveSeries(relation, aggregate, attribute,
-                     LiveConcurrency::kSharedLock, /*use_batch=*/false);
-      TAGG_RETURN_IF_ERROR(check("live-index/locked", locked));
-      Result<std::vector<ResultInterval>> cow =
-          LiveSeries(relation, aggregate, attribute,
-                     LiveConcurrency::kCowEpoch, /*use_batch=*/false);
-      TAGG_RETURN_IF_ERROR(check("live-index/cow", cow));
-      Result<std::vector<ResultInterval>> cow_batch =
-          LiveSeries(relation, aggregate, attribute,
-                     LiveConcurrency::kCowEpoch, /*use_batch=*/true);
-      TAGG_RETURN_IF_ERROR(check("live-index/cow-batch", cow_batch));
-      // Beyond the tolerance-based oracle diff: the engines execute the
-      // same insert sequence, so they must agree bit for bit.
-      Status identical =
-          SeriesTupleIdentical(locked.value(), cow.value());
-      if (identical.ok()) {
-        identical = SeriesTupleIdentical(cow.value(), cow_batch.value());
+      for (const bool use_batch : {false, true}) {
+        const std::string name =
+            use_batch ? "live-index/cow-batch" : "live-index/cow";
+        std::vector<Value> at;
+        Result<std::vector<ResultInterval>> cow = LiveSeries(
+            relation, aggregate, attribute, use_batch, instants, &at);
+        TAGG_RETURN_IF_ERROR(check(name, cow));
+        const Status identical =
+            SeriesTupleIdentical(tree.value(), cow.value());
+        if (!identical.ok()) {
+          return Divergence(seed, info, aggregate,
+                            name + "/aggregation-tree-equality",
+                            identical.message());
+        }
+        if (comparisons != nullptr) ++*comparisons;
+        TAGG_RETURN_IF_ERROR(check_timeslice("live-index/timeslice", at));
+        if (!use_batch) {
+          cow_series = std::move(cow.value());
+          have_cow = true;
+        }
       }
-      if (!identical.ok()) {
-        return Divergence(seed, info, aggregate, "live-index/engine-equality",
-                          identical.message());
-      }
-      if (comparisons != nullptr) *comparisons += 2;
-      cow_series = std::move(cow.value());
-      have_cow = true;
     }
 
     if (options.include_sharded) {
@@ -903,10 +1008,13 @@ Status RunDifferentialSeed(uint64_t seed, const DifferentialOptions& options,
           {"sharded/s4-w1-split", 4, 1, false, false, /*split=*/true},
       };
       for (const ShardConfig& cfg : grid) {
+        std::vector<Value> at;
         Result<std::vector<ResultInterval>> sharded = ShardedSeries(
             relation, aggregate, attribute, cfg.shards, cfg.workers,
-            cfg.batch, cfg.rebalance, cfg.split);
+            cfg.batch, cfg.rebalance, cfg.split, instants, &at);
         TAGG_RETURN_IF_ERROR(check(cfg.name, sharded));
+        TAGG_RETURN_IF_ERROR(check_timeslice(
+            "sharded/timeslice (" + std::string(cfg.name) + ")", at));
         // Boundary clipping preserves each instant's covering multiset,
         // so for the order-insensitive aggregates the stitched
         // scatter-gather series must match the unsharded COW series bit
@@ -930,22 +1038,14 @@ Status RunDifferentialSeed(uint64_t seed, const DifferentialOptions& options,
 
   if (options.concurrent_live_check && !relation.empty()) {
     // One aggregate per seed bounds the thread churn; the rotation covers
-    // all five across any run of consecutive seeds.  Both engines face
-    // the same concurrent schedule.
+    // all five across any run of consecutive seeds.
     const AggregateKind aggregate = kAllAggregates[seed % 5];
-    for (const LiveConcurrency concurrency :
-         {LiveConcurrency::kCowEpoch, LiveConcurrency::kSharedLock}) {
-      const Status live = CheckLiveIndexConcurrent(
-          relation, aggregate, AttributeFor(aggregate),
-          seed ^ 0xD1B54A32D192ED03ull, options.relative_tolerance,
-          concurrency);
-      if (!live.ok()) {
-        return Divergence(
-            seed, info, aggregate,
-            "live-index/concurrent-" +
-                std::string(LiveConcurrencyToString(concurrency)),
-            live.message());
-      }
+    const Status live =
+        CheckLiveIndexConcurrent(relation, aggregate, AttributeFor(aggregate),
+                                 seed ^ 0xD1B54A32D192ED03ull);
+    if (!live.ok()) {
+      return Divergence(seed, info, aggregate, "live-index/concurrent",
+                        live.message());
     }
   }
 
@@ -979,14 +1079,31 @@ Result<DifferentialSummary> RunDifferentialRange(
 
 Status CheckLiveIndexConcurrent(const Relation& relation,
                                 AggregateKind aggregate, size_t attribute,
-                                uint64_t seed, double relative_tolerance,
-                                LiveConcurrency concurrency) {
+                                uint64_t seed) {
   LiveIndexOptions options;
   options.aggregate = aggregate;
   options.attribute = attribute;
-  options.concurrency = concurrency;
   TAGG_ASSIGN_OR_RETURN(std::unique_ptr<LiveAggregateIndex> index,
                         LiveAggregateIndex::Create(options));
+
+  // The writer alternates InsertTuple runs with InsertBatch chunks, planned
+  // up front so the post-pass knows which epochs no reader may observe:
+  // those strictly inside a chunk.
+  struct Run {
+    size_t begin;
+    size_t end;
+    bool batch;
+  };
+  TAGG_ASSIGN_OR_RETURN(const auto inputs,
+                        BatchInputs(relation, aggregate, attribute));
+  std::vector<Run> runs;
+  Rng plan(seed);
+  for (size_t begin = 0; begin < relation.size(); begin = runs.back().end) {
+    runs.push_back({begin,
+                    std::min(relation.size(),
+                             begin + static_cast<size_t>(plan.Uniform(1, 8))),
+                    runs.empty() ? plan.Bernoulli(0.5) : !runs.back().batch});
+  }
 
   std::atomic<bool> done{false};
   std::mutex mutex;
@@ -997,55 +1114,61 @@ Status CheckLiveIndexConcurrent(const Relation& relation,
   };
 
   std::thread writer([&] {
-    for (const Tuple& tuple : relation) {
-      const Status status = index->InsertTuple(tuple);
+    for (const Run& run : runs) {
+      Status status;
+      if (run.batch) {
+        status = index->InsertBatch(
+            {inputs.begin() + run.begin, inputs.begin() + run.end});
+      } else {
+        for (size_t i = run.begin; i < run.end && status.ok(); ++i) {
+          status = index->InsertTuple(relation.tuple(i));
+        }
+      }
       if (!status.ok()) {
         record(status);
         break;
       }
+      std::this_thread::yield();
     }
     done.store(true, std::memory_order_release);
   });
 
-  const auto reader = [&](uint64_t reader_seed) {
+  // Readers log what each snapshot answered for the post-pass: every
+  // point probe, and a series once per epoch they observe.
+  struct ReaderLog {
+    std::vector<std::tuple<uint64_t, Instant, Value>> at;
+    std::vector<std::pair<uint64_t, std::vector<ResultInterval>>> over;
+  };
+  ReaderLog logs[2];
+  const auto reader = [&](uint64_t reader_seed, ReaderLog& log) {
     Rng rng(reader_seed);
     uint64_t last_epoch = 0;
-    bool once = false;
-    while (!once || !done.load(std::memory_order_acquire)) {
-      once = true;
+    const auto backwards = [&](uint64_t epoch) {
+      if (epoch < last_epoch) {
+        record(Status::Internal("live index epoch went backwards"));
+      }
+      return epoch < last_epoch;
+    };
+    do {
       uint64_t epoch = 0;
-      const Result<Value> at =
-          index->AggregateAt(rng.Uniform(0, 2000), &epoch);
-      if (!at.ok()) {
-        record(at.status());
-        return;
-      }
-      if (epoch < last_epoch) {
-        record(Status::Internal("live index epoch went backwards"));
-        return;
-      }
+      const Instant t = rng.Uniform(0, 2000);
+      Result<Value> at = index->AggregateAt(t, &epoch);
+      if (!at.ok()) return record(at.status());
+      if (backwards(epoch)) return;
+      log.at.emplace_back(epoch, t, std::move(at.value()));
       last_epoch = epoch;
-      const Result<AggregateSeries> over =
+      Result<AggregateSeries> over =
           index->AggregateOver(Period::All(), /*coalesce=*/true, &epoch);
-      if (!over.ok()) {
-        record(over.status());
-        return;
-      }
-      if (epoch < last_epoch) {
-        record(Status::Internal("live index epoch went backwards"));
-        return;
+      if (!over.ok()) return record(over.status());
+      if (backwards(epoch)) return;
+      if (log.over.empty() || log.over.back().first != epoch) {
+        log.over.emplace_back(epoch, std::move(over.value().intervals));
       }
       last_epoch = epoch;
-      const Status partition = ValidatePartition(over.value().intervals);
-      if (!partition.ok()) {
-        record(Status::Internal("live snapshot is not a partition: " +
-                                std::string(partition.message())));
-        return;
-      }
-    }
+    } while (!done.load(std::memory_order_acquire));
   };
-  std::thread reader_a(reader, seed * 2 + 1);
-  std::thread reader_b(reader, seed * 2 + 2);
+  std::thread reader_a(reader, seed * 2 + 1, std::ref(logs[0]));
+  std::thread reader_b(reader, seed * 2 + 2, std::ref(logs[1]));
   writer.join();
   reader_a.join();
   reader_b.join();
@@ -1053,26 +1176,73 @@ Status CheckLiveIndexConcurrent(const Relation& relation,
     std::lock_guard<std::mutex> lock(mutex);
     TAGG_RETURN_IF_ERROR(first_error);
   }
-
-  AggregateOptions ref;
-  ref.aggregate = aggregate;
-  ref.attribute = attribute;
-  ref.algorithm = AlgorithmKind::kReference;
-  ref.coalesce_equal_values = true;
-  TAGG_ASSIGN_OR_RETURN(AggregateSeries expected,
-                        ComputeTemporalAggregate(relation, ref));
-  TAGG_ASSIGN_OR_RETURN(AggregateSeries actual,
-                        index->AggregateOver(Period::All(),
-                                             /*coalesce=*/true));
-  std::vector<ResultInterval> conditioning;
-  const std::vector<ResultInterval>* condition = nullptr;
-  if (aggregate == AggregateKind::kSum || aggregate == AggregateKind::kAvg) {
-    TAGG_ASSIGN_OR_RETURN(conditioning,
-                          ComputeConditioningSeries(relation, attribute));
-    condition = &conditioning;
+  // The quiesced index must stand at the whole relation.
+  uint64_t final_epoch = 0;
+  TAGG_ASSIGN_OR_RETURN(
+      AggregateSeries final_series,
+      index->AggregateOver(Period::All(), /*coalesce=*/true, &final_epoch));
+  if (final_epoch != relation.size()) {
+    return Status::Internal("quiesced index stands at epoch " +
+                            std::to_string(final_epoch));
   }
-  return CompareSeries(expected.intervals, actual.intervals, aggregate,
-                       relative_tolerance, condition);
+  logs[0].over.emplace_back(final_epoch, std::move(final_series.intervals));
+
+  // Post-pass: every logged answer must be exactly what the aggregation
+  // tree computes over the prefix its epoch names, built once per
+  // distinct epoch.
+  std::map<uint64_t, std::vector<ResultInterval>> expected;
+  for (const ReaderLog& log : logs) {
+    for (const auto& probe : log.at) expected[std::get<0>(probe)];
+    for (const auto& probe : log.over) expected[probe.first];
+  }
+  for (auto& [epoch, series] : expected) {
+    const std::string at_epoch = "snapshot at epoch " + std::to_string(epoch);
+    if (epoch > relation.size()) {
+      return Status::Internal(at_epoch + " is past the tuples written");
+    }
+    for (const Run& run : runs) {
+      if (run.batch && run.begin < epoch && epoch < run.end) {
+        return Status::Internal(at_epoch + " splits the InsertBatch of [" +
+                                std::to_string(run.begin) + ", " +
+                                std::to_string(run.end) + ")");
+      }
+    }
+    Relation prefix(relation.schema(), relation.name());
+    for (size_t i = 0; i < epoch; ++i) prefix.AppendUnchecked(relation.tuple(i));
+    AggregateOptions tree;
+    tree.aggregate = aggregate;
+    tree.attribute = attribute;
+    tree.algorithm = AlgorithmKind::kAggregationTree;
+    tree.coalesce_equal_values = true;
+    TAGG_ASSIGN_OR_RETURN(series, BatchSeries(prefix, tree));
+  }
+  for (const ReaderLog& log : logs) {
+    for (const auto& [epoch, series] : log.over) {
+      const Status identical = SeriesTupleIdentical(expected[epoch], series);
+      if (!identical.ok()) {
+        return Status::Internal("AggregateOver at epoch " +
+                                std::to_string(epoch) + ": " +
+                                std::string(identical.message()));
+      }
+    }
+    for (const auto& [epoch, t, value] : log.at) {
+      const std::vector<ResultInterval>& series = expected[epoch];
+      // The series partitions the time-line, so the first interval ending
+      // at or after t contains it.
+      const auto it = std::lower_bound(
+          series.begin(), series.end(), t,
+          [](const ResultInterval& ri, Instant x) {
+            return ri.period.end() < x;
+          });
+      if (!(it->value == value)) {
+        return Status::Internal("AggregateAt(" + InstantToString(t) +
+                                ") at epoch " + std::to_string(epoch) +
+                                " answered " + value.ToString() +
+                                ", expected " + it->value.ToString());
+      }
+    }
+  }
+  return Status::OK();
 }
 
 Status CheckShardedServiceConcurrent(const Relation& relation,

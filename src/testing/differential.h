@@ -49,7 +49,6 @@
 #include <vector>
 
 #include "core/aggregates.h"
-#include "live/live_index.h"
 #include "temporal/relation.h"
 #include "util/result.h"
 
@@ -76,17 +75,19 @@ struct DifferentialOptions {
   /// different order than the reference tree.
   bool include_column_scan = true;
 
-  /// Include the live index (sequential insert + AggregateOver).  Both
-  /// concurrency engines run — each is diffed against the reference, and
-  /// the COW engine's series must additionally be *tuple-identical* (no
-  /// tolerance) to the locked engine's, since both apply the same Add
-  /// sequence in the same order; a batched COW load (InsertBatch) must be
-  /// tuple-identical too.
+  /// Include the live index (sequential insert + AggregateOver), loaded
+  /// tuple-at-a-time and as one InsertBatch.  Each series is diffed
+  /// against the reference and must additionally be *tuple-identical* (no
+  /// tolerance) to the batch aggregation tree's, since both apply the same
+  /// SplitTree::Add sequence in the same order.  Each index's AggregateAt
+  /// must also pass the timeslice check (see RunDifferentialSeed).
   bool include_live_index = true;
 
   /// Additionally probe one LiveAggregateIndex from concurrent reader
-  /// threads while a writer inserts, asserting epoch monotonicity and
-  /// partition validity of every snapshot, then diff the final series.
+  /// threads while a writer alternates InsertTuple runs with InsertBatch
+  /// chunks.  Every logged snapshot must match the aggregation tree over
+  /// the prefix its epoch names, bit for bit, and no epoch may fall
+  /// strictly inside a batch.
   bool concurrent_live_check = true;
 
   /// Include the sharded live service (src/shard): the relation is loaded
@@ -95,7 +96,7 @@ struct DifferentialOptions {
   /// scatter-gathered series is diffed against the reference.  Clipping
   /// at the shard boundaries preserves each instant's covering multiset,
   /// so COUNT/MIN/MAX must additionally be *tuple-identical* to the
-  /// unsharded COW live series; SUM/AVG keep the tolerance policy because
+  /// unsharded live series; SUM/AVG keep the tolerance policy because
   /// the per-shard summation tree differs from the unsharded one.
   bool include_sharded = true;
 
@@ -146,8 +147,12 @@ Result<std::vector<ResultInterval>> ComputeConditioningSeries(
     const Relation& relation, size_t attribute);
 
 /// Generates the seed's workload and diffs every algorithm/configuration
-/// against the reference, for all five aggregates.  `comparisons`, when
-/// non-null, accumulates the number of series pairs diffed.
+/// against the reference, for all five aggregates.  A second, oracle-free
+/// check covers the live and sharded indexes: at up to 16 instants t
+/// (kOrigin, kForever, tuple starts, ends and ends + 1), AggregateAt(t)
+/// must equal the plain aggregate over the tuples whose period contains
+/// t (snapshot reducibility).  `comparisons`, when non-null, accumulates
+/// the number of series pairs and timeslice sets checked.
 Status RunDifferentialSeed(uint64_t seed,
                            const DifferentialOptions& options = {},
                            size_t* comparisons = nullptr);
@@ -158,15 +163,16 @@ Result<DifferentialSummary> RunDifferentialRange(
     uint64_t first_seed, size_t count,
     const DifferentialOptions& options = {});
 
-/// Drives one live index with a writer thread inserting `relation`'s
-/// tuples while reader threads probe point/range queries on snapshots,
-/// then diffs the final series against the reference.  Used by
-/// RunDifferentialSeed (which runs it once per engine) and directly by
-/// the live-index tests.
-Status CheckLiveIndexConcurrent(
-    const Relation& relation, AggregateKind aggregate, size_t attribute,
-    uint64_t seed, double relative_tolerance = 1e-9,
-    LiveConcurrency concurrency = LiveConcurrency::kCowEpoch);
+/// Drives one live index with a writer thread loading `relation`'s tuples
+/// (InsertTuple runs alternating with InsertBatch chunks) while reader
+/// threads log (epoch, t, AggregateAt) and (epoch, AggregateOver)
+/// answers.  Afterwards every logged series must be bit-identical to the
+/// aggregation tree's series over the first `epoch` tuples, and every
+/// point value must equal that series at t: linearizability for
+/// aggregate queries, checked by value at every observed snapshot.
+Status CheckLiveIndexConcurrent(const Relation& relation,
+                                AggregateKind aggregate, size_t attribute,
+                                uint64_t seed);
 
 /// Drives one ShardedLiveService with a writer thread ingesting
 /// `relation`'s tuples — triggering a data-quantile Reshard plus a

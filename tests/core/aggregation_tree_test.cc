@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <random>
-
 #include "core/workload.h"
 #include "tests/core/test_util.h"
 
@@ -111,27 +109,6 @@ TEST(SplitTreeTest, SortedInputDegeneratesToLinearDepth) {
   }
   EXPECT_GE(tree.Depth(), static_cast<size_t>(n));
   EXPECT_TRUE(tree.Validate().ok());
-}
-
-TEST(SplitTreeTest, TrackedDepthIsExactWhileTheTreeOnlyGrows) {
-  // The live index's Stats() reports tracked_depth instead of walking the
-  // whole tree; while no subtree is freed it must equal Depth() exactly,
-  // after every single insert, for adversarial shapes included.
-  std::mt19937_64 rng(31337);
-  Tree tree;
-  EXPECT_EQ(tree.tracked_depth, tree.Depth());
-  for (int i = 0; i < 200; ++i) {
-    const Instant s = static_cast<Instant>(rng() % 5000);
-    const Instant e = s + static_cast<Instant>(rng() % 500);
-    tree.Add(s, e, 1);
-    ASSERT_EQ(tree.tracked_depth, tree.Depth()) << "after insert " << i;
-  }
-  // The degenerate sorted shape too.
-  Tree linear;
-  for (int i = 0; i < 64; ++i) {
-    linear.Add(i * 10, i * 10 + 5, 0);
-    ASSERT_EQ(linear.tracked_depth, linear.Depth());
-  }
 }
 
 TEST(SplitTreeTest, EachUniqueTimestampAddsOneSplit) {

@@ -1,8 +1,7 @@
 // COW-engine-specific stress and reclamation tests.
 //
-// live_stress_test.cc proves the generic snapshot-isolation contract for
-// both engines; this file targets the hazards only the copy-on-write
-// engine has:
+// live_stress_test.cc proves the generic snapshot-isolation contract;
+// this file targets the hazards particular to copy-on-write:
 //
 //   * readers walking a version WHILE the writer path-copies and
 //     publishes the next ones (the descent must never observe a
@@ -23,6 +22,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/node_arena.h"
 #include "core/workload.h"
 #include "live/live_index.h"
 
@@ -31,7 +31,6 @@ namespace {
 
 LiveIndexOptions CowCountOptions(size_t publish_every_n = 1) {
   LiveIndexOptions options;
-  options.concurrency = LiveConcurrency::kCowEpoch;
   options.publish_every_n = publish_every_n;
   return options;
 }

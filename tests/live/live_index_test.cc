@@ -4,6 +4,7 @@
 
 #include <algorithm>
 
+#include "core/node_arena.h"
 #include "core/workload.h"
 #include "tests/core/test_util.h"
 
@@ -14,11 +15,9 @@ namespace {
 /// tests use: attribute 1 (salary) for value aggregates, COUNT(*) for
 /// COUNT, and loads every tuple of `relation` in order.
 std::unique_ptr<LiveAggregateIndex> MakeLoadedIndex(
-    const Relation& relation, AggregateKind aggregate,
-    LiveConcurrency concurrency = LiveConcurrency::kCowEpoch) {
+    const Relation& relation, AggregateKind aggregate) {
   LiveIndexOptions options;
   options.aggregate = aggregate;
-  options.concurrency = concurrency;
   options.attribute =
       aggregate == AggregateKind::kCount ? AggregateOptions::kNoAttribute : 1;
   auto index = LiveAggregateIndex::Create(options);
@@ -88,19 +87,19 @@ TEST(LiveIndexTest, AllAggregatesMatchReferenceOnRandomWorkload) {
 
   for (AggregateKind aggregate : kAllAggregates) {
     const AggregateSeries want = ReferenceSeries(*relation, aggregate);
-    for (LiveConcurrency engine :
-         {LiveConcurrency::kCowEpoch, LiveConcurrency::kSharedLock}) {
-      auto index = MakeLoadedIndex(*relation, aggregate, engine);
-      auto got = index->AggregateOver(Period::All(), /*coalesce=*/false);
-      ASSERT_TRUE(got.ok()) << got.status().ToString();
-      EXPECT_EQ(got->intervals, want.intervals)
-          << "aggregate=" << AggregateKindToString(aggregate)
-          << " engine=" << LiveConcurrencyToString(engine);
-    }
+    auto index = MakeLoadedIndex(*relation, aggregate);
+    auto got = index->AggregateOver(Period::All(), /*coalesce=*/false);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got->intervals, want.intervals)
+        << "aggregate=" << AggregateKindToString(aggregate);
   }
 }
 
 TEST(LiveIndexTest, InsertBatchEqualsSingletonInsertsOnBothEngines) {
+  // Both engines that build the Section 5.1 tree — the live index and the
+  // batch aggregation tree — run the same Add sequence, so one
+  // InsertBatch, tuple-at-a-time inserts and the batch algorithm must all
+  // land the same series, bit for bit even for SUM.
   WorkloadSpec spec;
   spec.num_tuples = 400;
   spec.lifespan = 8000;
@@ -116,28 +115,34 @@ TEST(LiveIndexTest, InsertBatchEqualsSingletonInsertsOnBothEngines) {
     batch.emplace_back(t.valid(), *salary);
   }
 
-  const AggregateSeries want = ReferenceSeries(*relation, AggregateKind::kSum);
-  for (LiveConcurrency engine :
-       {LiveConcurrency::kCowEpoch, LiveConcurrency::kSharedLock}) {
-    LiveIndexOptions options;
-    options.aggregate = AggregateKind::kSum;
-    options.attribute = 1;
-    options.concurrency = engine;
-    auto index = LiveAggregateIndex::Create(options);
-    ASSERT_TRUE(index.ok());
-    ASSERT_TRUE((*index)->InsertBatch(batch).ok());
-    // One batch = one publication, but the epoch still counts tuples.
-    EXPECT_EQ((*index)->epoch(), batch.size())
-        << LiveConcurrencyToString(engine);
-    auto got = (*index)->AggregateOver(Period::All(), /*coalesce=*/false);
-    ASSERT_TRUE(got.ok());
-    EXPECT_EQ(got->intervals, want.intervals)
-        << LiveConcurrencyToString(engine);
-    // Empty batches are a no-op, not a publication.
-    const uint64_t versions = (*index)->Stats().versions_published;
-    ASSERT_TRUE((*index)->InsertBatch({}).ok());
-    EXPECT_EQ((*index)->Stats().versions_published, versions);
-  }
+  AggregateOptions tree;
+  tree.aggregate = AggregateKind::kSum;
+  tree.attribute = 1;
+  tree.algorithm = AlgorithmKind::kAggregationTree;
+  auto want = ComputeTemporalAggregate(*relation, tree);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+
+  auto singles = MakeLoadedIndex(*relation, AggregateKind::kSum);
+  auto singles_series =
+      singles->AggregateOver(Period::All(), /*coalesce=*/false);
+  ASSERT_TRUE(singles_series.ok());
+  EXPECT_EQ(singles_series->intervals, want->intervals);
+
+  LiveIndexOptions options;
+  options.aggregate = AggregateKind::kSum;
+  options.attribute = 1;
+  auto index = LiveAggregateIndex::Create(options);
+  ASSERT_TRUE(index.ok());
+  ASSERT_TRUE((*index)->InsertBatch(batch).ok());
+  // One batch = one publication, but the epoch still counts tuples.
+  EXPECT_EQ((*index)->epoch(), batch.size());
+  auto got = (*index)->AggregateOver(Period::All(), /*coalesce=*/false);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got->intervals, want->intervals);
+  // Empty batches are a no-op, not a publication.
+  const uint64_t versions = (*index)->Stats().versions_published;
+  ASSERT_TRUE((*index)->InsertBatch({}).ok());
+  EXPECT_EQ((*index)->Stats().versions_published, versions);
 }
 
 TEST(LiveIndexTest, StaysCorrectAfterEveryIncrementalInsert) {

@@ -15,12 +15,11 @@
 //      insert or a value from a different version than the epoch it was
 //      told.
 //
-// Built with -fsanitize=thread in CI (live_tsan_test target); any lock
-// misuse in SnapshotGate or a reader touching writer-owned scratch state
-// shows up as a race here.  Both phases run against both concurrency
-// engines (the COW/epoch default and the shared_mutex fallback) — the
-// COW-specific hazards (path-copy publication, epoch pinning,
-// reclamation) get their own deeper test in cow_stress_test.cc.
+// Built with -fsanitize=thread in CI (the live-tsan job); a reader
+// touching writer-owned scratch state shows up as a race here.  Both
+// phases cover the index's one engine, the copy-on-write tree; its
+// specific hazards (path-copy publication, epoch pinning, reclamation)
+// get their own deeper test in cow_stress_test.cc.
 
 #include <gtest/gtest.h>
 
@@ -38,15 +37,6 @@ namespace {
 
 constexpr size_t kNumReaders = 4;
 constexpr size_t kCheckpoints = 8;
-
-class LiveStressTest : public ::testing::TestWithParam<LiveConcurrency> {
- protected:
-  LiveIndexOptions Options() const {
-    LiveIndexOptions options;
-    options.concurrency = GetParam();
-    return options;
-  }
-};
 
 /// COUNT of `tuples[0..n)` whose validity contains `t` — the scan oracle
 /// the index must agree with at epoch n.
@@ -71,7 +61,7 @@ AggregateSeries ReferencePrefix(const Schema& schema,
   return std::move(series).value();
 }
 
-TEST_P(LiveStressTest, CheckpointedReadersSeeExactPrefixAnswers) {
+TEST(LiveStressTest, CheckpointedReadersSeeExactPrefixAnswers) {
   WorkloadSpec spec;
   spec.num_tuples = 1600;
   spec.lifespan = 100'000;
@@ -91,7 +81,7 @@ TEST_P(LiveStressTest, CheckpointedReadersSeeExactPrefixAnswers) {
         ReferencePrefix(relation->schema(), tuples, c * chunk));
   }
 
-  auto created = LiveAggregateIndex::Create(Options());
+  auto created = LiveAggregateIndex::Create(LiveIndexOptions());
   ASSERT_TRUE(created.ok());
   LiveAggregateIndex& index = **created;
 
@@ -131,7 +121,7 @@ TEST_P(LiveStressTest, CheckpointedReadersSeeExactPrefixAnswers) {
   EXPECT_EQ(index.epoch(), tuples.size());
 }
 
-TEST_P(LiveStressTest, ChurnProbesMatchTheirSnapshotEpoch) {
+TEST(LiveStressTest, ChurnProbesMatchTheirSnapshotEpoch) {
   WorkloadSpec spec;
   spec.num_tuples = 3000;
   spec.lifespan = 50'000;
@@ -141,7 +131,7 @@ TEST_P(LiveStressTest, ChurnProbesMatchTheirSnapshotEpoch) {
   ASSERT_TRUE(relation.ok());
   const std::vector<Tuple> tuples(relation->begin(), relation->end());
 
-  auto created = LiveAggregateIndex::Create(Options());
+  auto created = LiveAggregateIndex::Create(LiveIndexOptions());
   ASSERT_TRUE(created.ok());
   LiveAggregateIndex& index = **created;
 
@@ -231,14 +221,6 @@ TEST_P(LiveStressTest, ChurnProbesMatchTheirSnapshotEpoch) {
   // about snapshot isolation.
   EXPECT_GT(mid_stream, 0u);
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    BothEngines, LiveStressTest,
-    ::testing::Values(LiveConcurrency::kCowEpoch,
-                      LiveConcurrency::kSharedLock),
-    [](const ::testing::TestParamInfo<LiveConcurrency>& info) {
-      return std::string(LiveConcurrencyToString(info.param));
-    });
 
 }  // namespace
 }  // namespace tagg

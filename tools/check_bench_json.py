@@ -139,7 +139,7 @@ def check_live_reclaim(path: pathlib.Path, benchmarks: list,
                        metrics: dict) -> None:
     """bench_live_index only: the concurrent-writer and ingest entries must
     carry the reclamation counters, and the metrics snapshot must include
-    the COW engine's registry instruments."""
+    the live index's registry instruments."""
     carrying = [b for b in benchmarks
                 if b.get("run_type") != "aggregate"
                 and ("Concurrent" in b["name"] or "Ingest" in b["name"]
