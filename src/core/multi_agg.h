@@ -10,10 +10,15 @@
 // MultiOp fuses up to kMaxMultiAggregates aggregate operators into one
 // composed monoid: one state vector per node, one combine per path step,
 // one algorithm pass per query.  It plugs into every algorithm in the
-// library (they are generic over the operator), and the query executor
-// uses it so that `SELECT COUNT(*), MIN(x), AVG(y) FROM r` builds a single
-// aggregation tree.  bench_ablation_multiagg.cc measures the win over the
-// per-aggregate evaluation.
+// library (they are generic over the operator).  The query executor uses
+// it on the sequential path (one worker, or a forced sequential
+// algorithm), so that `SELECT COUNT(*), MIN(x), AVG(y) FROM r` builds a
+// single aggregation tree.  With more than one worker the executor
+// instead runs one parallel partitioned evaluation per aggregate and
+// zips the series (docs/PARALLELISM.md): there the per-aggregate passes
+// are cheap sweeps, and the fused tree's 128-byte states are not.
+// bench_ablation_multiagg.cc measures the fused pass against the
+// sequential per-aggregate evaluation.
 
 #pragma once
 

@@ -549,37 +549,26 @@ Result<AggregateSeries> RunPartitioned(const Relation& relation,
   build_span.End();
 
   // ---------------------------------------------------------------------
-  // Stitch: concatenate per-region intervals in region order, merging the
-  // two sides of every artificial boundary.
+  // Stitch: lay the regions out in region order, finalize every region
+  // into its own slice of the output on the workers, then merge the two
+  // sides of every artificial boundary.
   // ---------------------------------------------------------------------
   obs::Span stitch_span(options.profile, "stitch");
   AggregateSeries series;
   ExecutionStats& stats = series.stats;
   stats.tuples_processed = tuples_processed;
   stats.relation_scans = 1;
+  // Both kernels emit exactly the region's range, so every region holds at
+  // least one interval.  Across an artificial boundary the same constant
+  // interval continues: the region's first interval is not emitted, the
+  // interval before its slice absorbs it.
+  auto joins_previous = [&](size_t r) { return r > 0 && !real[r]; };
+  std::vector<size_t> offset(regions + 1, 0);
   size_t artificial_joins = 0;
   for (size_t r = 0; r < regions; ++r) {
-    const auto& typed = per_region[r];
-
-    const bool artificial_join = r > 0 && !real[r];
-    if (artificial_join) ++artificial_joins;
-    bool first_in_region = true;
-    for (const TypedInterval<State>& ti : typed) {
-      // Both kernels emit exactly the region's range.
-      const Instant lo = ti.start;
-      const Instant hi = ti.end;
-      const Value value = Op::Finalize(ti.state);
-      if (artificial_join && first_in_region &&
-          !series.intervals.empty()) {
-        // Same constant interval continues across the boundary.
-        series.intervals.back().period =
-            Period(series.intervals.back().period.start(), hi);
-        first_in_region = false;
-        continue;
-      }
-      first_in_region = false;
-      series.intervals.push_back({Period(lo, hi), value});
-    }
+    const size_t skip = joins_previous(r) ? 1 : 0;
+    artificial_joins += skip;
+    offset[r + 1] = offset[r] + per_region[r].size() - skip;
     stats.peak_live_nodes =
         std::max(stats.peak_live_nodes, per_region_stats[r].peak_live_nodes);
     stats.peak_live_bytes =
@@ -588,6 +577,28 @@ Result<AggregateSeries> RunPartitioned(const Relation& relation,
                                       per_region_stats[r].peak_paper_bytes);
     stats.nodes_allocated += per_region_stats[r].nodes_allocated;
     stats.work_steps += per_region_stats[r].work_steps;
+  }
+  series.intervals.resize(offset[regions]);
+  std::atomic<size_t> next_slice{0};
+  run_on_workers([&](size_t) {
+    while (true) {
+      const size_t r = next_slice.fetch_add(1);
+      if (r >= regions) break;
+      const std::vector<TypedInterval<State>>& typed = per_region[r];
+      ResultInterval* out = series.intervals.data() + offset[r];
+      for (size_t i = joins_previous(r) ? 1 : 0; i < typed.size(); ++i) {
+        out->period = Period(typed[i].start, typed[i].end);
+        out->value = Op::Finalize(typed[i].state);
+        ++out;
+      }
+    }
+  });
+  // In region order, so a run of artificial boundaries (regions of one
+  // interval each) extends the one interval before the run.
+  for (size_t r = 1; r < regions; ++r) {
+    if (!joins_previous(r)) continue;
+    Period& joined = series.intervals[offset[r] - 1].period;
+    joined = Period(joined.start(), per_region[r].front().end);
   }
   stats.intervals_emitted = series.intervals.size();
   stitch_span.Annotate("intervals", series.intervals.size());

@@ -355,12 +355,11 @@ Result<QueryResult> ExecuteSelect(const BoundQuery& query,
     plan.rationale = "forced by executor options";
   }
   // Parallel partitioned routing: with workers > 1 (from the option or
-  // TAGG_WORKERS), a single-aggregate instant-grouped query is evaluated
-  // region by region with parallel routing and builds.  A forced
-  // algorithm other than kPartitioned is respected as-is.
+  // TAGG_WORKERS), an instant-grouped query is evaluated region by region
+  // with parallel routing and builds, one evaluation per aggregate.  A
+  // forced algorithm other than kPartitioned is respected as-is.
   const size_t workers = ResolveWorkers(options.parallel_workers);
   const bool partitioned_eligible =
-      query.aggregates.size() == 1 &&
       query.temporal.kind == TemporalGrouping::Kind::kInstant;
   if (partitioned_eligible &&
       (options.force_algorithm == AlgorithmKind::kPartitioned ||
@@ -374,9 +373,8 @@ Result<QueryResult> ExecuteSelect(const BoundQuery& query,
   if (plan.algorithm == AlgorithmKind::kPartitioned &&
       !partitioned_eligible) {
     return Status::InvalidArgument(
-        "partitioned evaluation requires a single aggregate with instant "
-        "grouping; span grouping and fused multi-aggregates use the "
-        "sequential algorithms");
+        "partitioned evaluation requires instant grouping; span grouping "
+        "uses the sequential algorithms");
   }
   plan_span.Annotate("algorithm", AlgorithmKindToString(plan.algorithm));
   plan_span.Annotate("workers", workers);
@@ -513,24 +511,57 @@ Result<QueryResult> ExecuteSelect(const BoundQuery& query,
       return Status::OK();
     }
     if (plan.algorithm == AlgorithmKind::kPartitioned) {
-      // Parallel partitioned path: one aggregate, evaluated region by
-      // region with `workers` threads in both phases.
+      // Parallel partitioned path: each aggregate evaluated separately
+      // (Epstein's recipe, Section 3), region by region with `workers`
+      // threads in both phases.
       PartitionedRoutedTotal().Increment();
-      const BoundAggregate& agg = query.aggregates[0];
-      PartitionedOptions popts;
-      popts.aggregate = agg.kind;
-      popts.attribute = agg.attribute;
-      popts.parallel_workers = workers;
-      // Enough regions that work-stealing balances uneven tuple density.
-      popts.partitions = std::max<size_t>(8, workers * 4);
-      popts.profile = profile;
-      TAGG_ASSIGN_OR_RETURN(
-          AggregateSeries series,
-          ComputePartitionedAggregate(group_relation, popts));
-      absorb_stats(series.stats);
-      intervals_total += series.intervals.size();
-      for (ResultInterval& ri : series.intervals) {
-        append_row({std::move(ri.value)}, ri.period, key);
+      std::vector<AggregateSeries> per_aggregate;
+      per_aggregate.reserve(query.aggregates.size());
+      size_t longest = 0;
+      for (const BoundAggregate& agg : query.aggregates) {
+        PartitionedOptions popts;
+        popts.aggregate = agg.kind;
+        popts.attribute = agg.attribute;
+        popts.parallel_workers = workers;
+        // Enough regions that work-stealing balances uneven tuple density.
+        popts.partitions = std::max<size_t>(8, workers * 4);
+        popts.profile = profile;
+        TAGG_ASSIGN_OR_RETURN(
+            AggregateSeries series,
+            ComputePartitionedAggregate(group_relation, popts));
+        absorb_stats(series.stats);
+        longest = std::max(longest, series.intervals.size());
+        per_aggregate.push_back(std::move(series));
+      }
+      if (single_group) result.rows.reserve(longest);
+      // Zip over the common refinement: every series partitions
+      // [kOrigin, kForever], so each row ends at the smallest end under
+      // the cursors, and a series whose interval ends there moves its
+      // value out and advances.  A NULL input drops a tuple from one
+      // series only, so the rows keep the fused pass's boundaries.
+      std::vector<size_t> cursor(per_aggregate.size(), 0);
+      Instant lo = kOrigin;
+      while (true) {
+        Instant hi = kForever;
+        for (size_t j = 0; j < per_aggregate.size(); ++j) {
+          hi = std::min(hi,
+                        per_aggregate[j].intervals[cursor[j]].period.end());
+        }
+        std::vector<Value> row;
+        row.reserve(per_aggregate.size());
+        for (size_t j = 0; j < per_aggregate.size(); ++j) {
+          ResultInterval& ri = per_aggregate[j].intervals[cursor[j]];
+          if (ri.period.end() == hi) {
+            row.push_back(std::move(ri.value));
+            ++cursor[j];
+          } else {
+            row.push_back(ri.value);
+          }
+        }
+        append_row(std::move(row), Period(lo, hi), key);
+        ++intervals_total;
+        if (hi == kForever) break;
+        lo = hi + 1;
       }
       return Status::OK();
     }

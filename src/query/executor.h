@@ -33,11 +33,12 @@ struct ExecutorOptions {
   std::optional<AlgorithmKind> force_algorithm;
   /// Worker threads for the parallel partitioned path.  0 (the default)
   /// resolves from the TAGG_WORKERS environment variable, falling back
-  /// to 1 (sequential).  When the resolved value exceeds 1, eligible
-  /// queries — a single aggregate with instant grouping — are evaluated
-  /// through ComputePartitionedAggregate (core/partitioned_agg.h) with
-  /// parallel routing and region builds; everything else keeps the
-  /// planner's sequential choice.  Results are identical either way.
+  /// to 1 (sequential).  When the resolved value exceeds 1, instant-
+  /// grouped queries are evaluated through ComputePartitionedAggregate
+  /// (core/partitioned_agg.h) with parallel routing and region builds,
+  /// once per aggregate, and the series are zipped into rows; span-
+  /// grouped queries keep the planner's sequential choice.  Results are
+  /// identical either way (SUM/AVG up to float summation order).
   size_t parallel_workers = 0;
   /// Memory budget handed to the planner.
   size_t memory_budget_bytes = static_cast<size_t>(-1);

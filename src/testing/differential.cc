@@ -1070,8 +1070,15 @@ Result<DifferentialSummary> RunDifferentialRange(
     uint64_t first_seed, size_t count, const DifferentialOptions& options) {
   DifferentialSummary summary;
   for (size_t i = 0; i < count; ++i) {
-    TAGG_RETURN_IF_ERROR(RunDifferentialSeed(first_seed + i, options,
-                                             &summary.comparisons));
+    size_t comparisons = 0;
+    TAGG_RETURN_IF_ERROR(
+        RunDifferentialSeed(first_seed + i, options, &comparisons));
+    summary.comparisons += comparisons;
+    summary.min_seed_comparisons =
+        i == 0 ? comparisons
+               : std::min(summary.min_seed_comparisons, comparisons);
+    summary.max_seed_comparisons =
+        std::max(summary.max_seed_comparisons, comparisons);
     ++summary.seeds_run;
   }
   return summary;
@@ -1105,15 +1112,26 @@ Status CheckLiveIndexConcurrent(const Relation& relation,
                     runs.empty() ? plan.Bernoulli(0.5) : !runs.back().batch});
   }
 
+  constexpr size_t kReaders = 2;
   std::atomic<bool> done{false};
+  std::atomic<bool> failed{false};
+  std::atomic<size_t> readers_started{0};
   std::mutex mutex;
   Status first_error;
   const auto record = [&](const Status& status) {
     std::lock_guard<std::mutex> lock(mutex);
     if (first_error.ok()) first_error = status;
+    failed.store(true, std::memory_order_release);
   };
 
   std::thread writer([&] {
+    // Don't start until every reader has landed its first probe, so the
+    // readers see mid-stream snapshots rather than only the empty index
+    // and the loaded one (a failed reader releases the gate too).
+    while (readers_started.load(std::memory_order_acquire) < kReaders &&
+           !failed.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
     for (const Run& run : runs) {
       Status status;
       if (run.batch) {
@@ -1139,10 +1157,11 @@ Status CheckLiveIndexConcurrent(const Relation& relation,
     std::vector<std::tuple<uint64_t, Instant, Value>> at;
     std::vector<std::pair<uint64_t, std::vector<ResultInterval>>> over;
   };
-  ReaderLog logs[2];
+  ReaderLog logs[kReaders];
   const auto reader = [&](uint64_t reader_seed, ReaderLog& log) {
     Rng rng(reader_seed);
     uint64_t last_epoch = 0;
+    bool announced = false;
     const auto backwards = [&](uint64_t epoch) {
       if (epoch < last_epoch) {
         record(Status::Internal("live index epoch went backwards"));
@@ -1157,6 +1176,10 @@ Status CheckLiveIndexConcurrent(const Relation& relation,
       if (backwards(epoch)) return;
       log.at.emplace_back(epoch, t, std::move(at.value()));
       last_epoch = epoch;
+      if (!announced) {
+        announced = true;
+        readers_started.fetch_add(1, std::memory_order_release);
+      }
       Result<AggregateSeries> over =
           index->AggregateOver(Period::All(), /*coalesce=*/true, &epoch);
       if (!over.ok()) return record(over.status());

@@ -118,6 +118,11 @@ struct WorkloadInfo {
 struct DifferentialSummary {
   size_t seeds_run = 0;
   size_t comparisons = 0;  ///< series pairs diffed (all matched)
+  /// Fewest and most comparisons one seed made.  A configuration dropping
+  /// out of the grid lowers the minimum (or the maximum, for checks only
+  /// some workloads run) where the total alone would hide it.
+  size_t min_seed_comparisons = 0;
+  size_t max_seed_comparisons = 0;
 };
 
 /// Deterministically generates the seed's workload relation (Employed

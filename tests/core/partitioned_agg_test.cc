@@ -337,6 +337,34 @@ TEST(PartitionedAggTest, ArtificialBoundaryIsStitched) {
   }
 }
 
+TEST(PartitionedAggTest, ChainedArtificialBoundariesStitchOntoOneInterval) {
+  // 64 regions of 100 chronons over [0, 6399].  No endpoint falls on a
+  // multiple of 100, so every region boundary is artificial and runs of
+  // them (regions holding a single interval) all extend one interval.
+  Relation r = testutil::MakeRelation(
+      {{0, 6399, 5}, {1234, 5678, 3}, {3210, 3333, 7}});
+  const std::vector<Period> want_periods = {
+      Period(0, 1233),    Period(1234, 3209), Period(3210, 3333),
+      Period(3334, 5678), Period(5679, 6399), Period(6400, kForever)};
+  // COUNT runs the columnar sweep, MAX the aggregation tree.
+  for (AggregateKind kind : {AggregateKind::kCount, AggregateKind::kMax}) {
+    for (size_t workers : {1, 4}) {
+      PartitionedOptions options;
+      options.partitions = 64;
+      options.parallel_workers = workers;
+      options.aggregate = kind;
+      options.attribute = AttributeFor(kind);
+      ExpectMatchesSingleTree(r, options);
+      auto got = ComputePartitionedAggregate(r, options);
+      ASSERT_TRUE(got.ok());
+      ASSERT_EQ(got->intervals.size(), want_periods.size());
+      for (size_t i = 0; i < want_periods.size(); ++i) {
+        EXPECT_EQ(got->intervals[i].period, want_periods[i]) << i;
+      }
+    }
+  }
+}
+
 TEST(PartitionedAggTest, MorePartitionsThanTuples) {
   Relation r = testutil::MakeRelation({{10, 20, 1}, {30, 40, 2}});
   PartitionedOptions options;

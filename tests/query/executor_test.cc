@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <functional>
@@ -507,7 +509,9 @@ TEST_F(ExecutorTest, ParallelWorkersRouteToPartitioned) {
         "SELECT AVG(salary) FROM employed",
         "SELECT MIN(salary) FROM employed",
         "SELECT name, MAX(salary) FROM employed GROUP BY name",
-        "SELECT COUNT(*) FROM employed WHERE salary >= 40000"}) {
+        "SELECT COUNT(*) FROM employed WHERE salary >= 40000",
+        "SELECT COUNT(*), SUM(salary) FROM employed",
+        "SELECT COUNT(*), AVG(salary), MAX(salary) FROM employed"}) {
     auto routed = RunQuery(sql, catalog_, options);
     ASSERT_TRUE(routed.ok()) << sql << ": " << routed.status().ToString();
     EXPECT_EQ(routed->plan.algorithm, AlgorithmKind::kPartitioned) << sql;
@@ -533,13 +537,14 @@ TEST_F(ExecutorTest, ForcedPartitionedRunsSequentially) {
 }
 
 TEST_F(ExecutorTest, PartitionedSkipsIneligibleQueries) {
-  // Multi-aggregate and span-grouped queries keep the planner's
-  // sequential choice even with workers configured.
+  // Span-grouped queries keep the planner's sequential choice even with
+  // workers configured.
   ExecutorOptions options;
   options.parallel_workers = 4;
   for (const char* sql :
-       {"SELECT COUNT(*), SUM(salary) FROM employed",
-        "SELECT COUNT(*) FROM employed GROUP BY SPAN 5 FROM 0 TO 29"}) {
+       {"SELECT COUNT(*) FROM employed GROUP BY SPAN 5 FROM 0 TO 29",
+        "SELECT COUNT(*), SUM(salary) FROM employed GROUP BY SPAN 5 "
+        "FROM 0 TO 29"}) {
     auto result = RunQuery(sql, catalog_, options);
     ASSERT_TRUE(result.ok()) << sql << ": " << result.status().ToString();
     EXPECT_NE(result->plan.algorithm, AlgorithmKind::kPartitioned) << sql;
@@ -553,8 +558,8 @@ TEST_F(ExecutorTest, ForcedPartitionedRejectsIneligibleQueries) {
   ExecutorOptions options;
   options.force_algorithm = AlgorithmKind::kPartitioned;
   auto result =
-      RunQuery("SELECT COUNT(*), SUM(salary) FROM employed", catalog_,
-               options);
+      RunQuery("SELECT COUNT(*) FROM employed GROUP BY SPAN 5 FROM 0 TO 29",
+               catalog_, options);
   EXPECT_TRUE(result.status().IsInvalidArgument())
       << result.status().ToString();
 }
@@ -596,6 +601,32 @@ TEST_F(ExecutorTest, PlanSpanAnnotatesWorkers) {
   EXPECT_NE(result->profile->Find("route"), nullptr);
   EXPECT_NE(result->profile->Find("build"), nullptr);
   EXPECT_NE(result->profile->Find("stitch"), nullptr);
+}
+
+TEST_F(ExecutorTest, MultiAggregateRunsOnePartitionedEvaluationEach) {
+  const char* const sql =
+      "EXPLAIN ANALYZE SELECT COUNT(*), AVG(salary), MAX(salary) "
+      "FROM employed";
+  std::function<size_t(const obs::SpanNode&)> count_partitioned =
+      [&](const obs::SpanNode& node) {
+        size_t n = node.name == "partitioned" ? 1 : 0;
+        for (const auto& child : node.children) n += count_partitioned(*child);
+        return n;
+      };
+  ExecutorOptions options;
+  options.parallel_workers = 2;
+  auto routed = RunQuery(sql, catalog_, options);
+  ASSERT_TRUE(routed.ok()) << routed.status().ToString();
+  EXPECT_EQ(routed->plan.algorithm, AlgorithmKind::kPartitioned);
+  ASSERT_NE(routed->profile, nullptr);
+  EXPECT_EQ(count_partitioned(routed->profile->root()), 3u);
+
+  options.parallel_workers = 1;
+  auto fused = RunQuery(sql, catalog_, options);
+  ASSERT_TRUE(fused.ok()) << fused.status().ToString();
+  EXPECT_EQ(fused->plan.algorithm, AlgorithmKind::kAggregationTree);
+  ASSERT_NE(fused->profile, nullptr);
+  EXPECT_EQ(count_partitioned(fused->profile->root()), 0u);
 }
 
 // A column of the reference query below: the group key, or an aggregate
@@ -726,6 +757,101 @@ TEST(ExecutorRowPathsTest, EveryRowShapeMatchesTheBatchReference) {
         for (size_t i = 0; i < want.size(); ++i) {
           EXPECT_EQ(got->rows[i].valid, want[i].valid) << "row " << i;
           EXPECT_EQ(got->rows[i].values, want[i].values) << "row " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(ExecutorMultiAggregateTest, WorkersMatchTheFusedTreeWithNullInputs) {
+  // With workers > 1 a multi-aggregate query runs one partitioned
+  // evaluation per aggregate and zips the series; with one worker it is
+  // the fused single-pass tree.  A NULL salary drops a tuple from the
+  // salary aggregates' series only, so the series' boundaries differ and
+  // the zip must cut rows at every one of them.  Small salaries make
+  // equal neighbours (coalescing) and empty gaps (drop_empty) common.
+  auto rel = std::make_shared<Relation>(EmployedSchema(), "staff");
+  std::mt19937_64 rng(11);
+  const char* const names[] = {"ann", "bob", "cy"};
+  for (int i = 0; i < 400; ++i) {
+    const Instant start = static_cast<Instant>(rng() % 3000);
+    const Instant end = start + static_cast<Instant>(rng() % 40);
+    const Value salary =
+        rng() % 4 == 0 ? Value::Null()
+                       : Value::Int(1 + static_cast<int64_t>(rng() % 3));
+    rel->AppendUnchecked(
+        Tuple({Value::String(names[rng() % 3]), salary}, Period(start, end)));
+  }
+  // Long-lived tuples, one of them open-ended with a NULL salary.
+  rel->AppendUnchecked(
+      Tuple({Value::String("ann"), Value::Int(2)}, Period(500, 2400)));
+  rel->AppendUnchecked(
+      Tuple({Value::String("bob"), Value::Null()}, Period(1800, kForever)));
+  Catalog catalog;
+  ASSERT_TRUE(catalog.Register(rel).ok());
+
+  // `tolerant` marks the SUM/AVG columns: compared within the relative
+  // tolerance of src/testing/differential.h, every other column exactly.
+  const struct {
+    const char* sql;
+    std::vector<bool> tolerant;
+  } shapes[] = {
+      {"SELECT COUNT(*), AVG(salary), MAX(salary) FROM staff",
+       {false, true, false}},
+      {"SELECT COUNT(salary), SUM(salary) FROM staff", {false, true}},
+      {"SELECT MIN(salary), COUNT(*) FROM staff", {false, false}},
+      {"SELECT name, COUNT(*), AVG(salary), MAX(salary) FROM staff "
+       "GROUP BY name",
+       {false, false, true, false}},
+      {"SELECT COUNT(salary), SUM(salary), name FROM staff GROUP BY name",
+       {false, true, false}},
+      {"SELECT name, MIN(salary), COUNT(*) FROM staff GROUP BY name",
+       {false, false, false}},
+      {"SELECT MIN(salary), COUNT(*), AVG(salary) FROM staff "
+       "WHERE name <> 'bob'",
+       {false, false, true}},
+  };
+  for (const auto& shape : shapes) {
+    for (const auto& [drop_empty, coalesce] :
+         {std::pair{true, false}, std::pair{false, false},
+          std::pair{false, true}, std::pair{true, true}}) {
+      ExecutorOptions fused_options;
+      fused_options.parallel_workers = 1;
+      fused_options.drop_empty = drop_empty;
+      fused_options.coalesce = coalesce;
+      auto want = RunQuery(shape.sql, catalog, fused_options);
+      ASSERT_TRUE(want.ok()) << shape.sql << ": " << want.status().ToString();
+      ASSERT_NE(want->plan.algorithm, AlgorithmKind::kPartitioned);
+      for (size_t workers : {2, 3}) {
+        SCOPED_TRACE(std::string(shape.sql) + " workers=" +
+                     std::to_string(workers) +
+                     " drop_empty=" + std::to_string(drop_empty) +
+                     " coalesce=" + std::to_string(coalesce));
+        ExecutorOptions options = fused_options;
+        options.parallel_workers = workers;
+        auto got = RunQuery(shape.sql, catalog, options);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        EXPECT_EQ(got->plan.algorithm, AlgorithmKind::kPartitioned);
+        EXPECT_EQ(got->column_names, want->column_names);
+        ASSERT_EQ(got->rows.size(), want->rows.size());
+        for (size_t i = 0; i < want->rows.size(); ++i) {
+          const QueryResultRow& g = got->rows[i];
+          const QueryResultRow& w = want->rows[i];
+          EXPECT_EQ(g.valid, w.valid) << "row " << i;
+          ASSERT_EQ(g.values.size(), shape.tolerant.size());
+          for (size_t c = 0; c < shape.tolerant.size(); ++c) {
+            if (!shape.tolerant[c] || g.values[c].is_null() ||
+                w.values[c].is_null()) {
+              EXPECT_EQ(g.values[c], w.values[c]) << "row " << i << " col "
+                                                  << c;
+              continue;
+            }
+            const double a = g.values[c].AsDouble();
+            const double b = w.values[c].AsDouble();
+            EXPECT_LE(std::abs(a - b),
+                      1e-9 * std::max({1.0, std::abs(a), std::abs(b)}))
+                << "row " << i << " col " << c;
+          }
         }
       }
     }
