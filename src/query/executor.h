@@ -18,6 +18,7 @@
 #include "core/planner.h"
 #include "obs/trace.h"
 #include "query/analyzer.h"
+#include "query/value_row.h"
 #include "shard/sharded_service.h"
 #include "util/result.h"
 
@@ -56,8 +57,10 @@ struct ExecutorOptions {
 };
 
 /// One result row: the select-list values plus the implicit valid period.
+/// The first value is held inline (query/value_row.h), so a
+/// single-aggregate row is one 72-byte record with no heap allocation.
 struct QueryResultRow {
-  std::vector<Value> values;
+  ValueRow values;
   Period valid;
 };
 

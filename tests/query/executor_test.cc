@@ -739,7 +739,7 @@ TEST(ExecutorRowPathsTest, EveryRowShapeMatchesTheBatchReference) {
     for (size_t workers : {1, 3}) {
       for (const auto& [drop_empty, coalesce] :
            {std::pair{true, false}, std::pair{false, true},
-            std::pair{true, true}}) {
+            std::pair{true, true}, std::pair{false, false}}) {
         ExecutorOptions options;
         options.parallel_workers = workers;
         options.drop_empty = drop_empty;

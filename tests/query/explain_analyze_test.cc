@@ -7,11 +7,13 @@
 
 #include <filesystem>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/workload.h"
 #include "obs/metrics.h"
 #include "query/executor.h"
+#include "shard/sharded_service.h"
 #include "storage/relation_io.h"
 
 namespace tagg {
@@ -138,6 +140,71 @@ TEST_F(ExplainAnalyzeTest, EveryResultCarriesAProfile) {
   EXPECT_NE(result->profile->Find("execute"), nullptr);
 }
 
+/// The `rows` annotation of `node`; -1 when absent.
+long RowsAnnotation(const obs::SpanNode& node) {
+  for (const auto& [key, value] : node.annotations) {
+    if (key == "rows") return std::stol(value);
+  }
+  return -1;
+}
+
+/// The child of `parent` called `name`; nullptr when absent.
+const obs::SpanNode* Child(const obs::SpanNode& parent,
+                           std::string_view name) {
+  for (const auto& child : parent.children) {
+    if (child->name == name) return child.get();
+  }
+  return nullptr;
+}
+
+TEST_F(ExplainAnalyzeTest, PartitionedRouteTimesRowAssemblyUnderAggregate) {
+  ExecutorOptions options;
+  options.parallel_workers = 2;
+  for (const char* sql :
+       {"EXPLAIN ANALYZE SELECT COUNT(name) FROM employed",
+        "EXPLAIN ANALYZE SELECT COUNT(*), MAX(salary) FROM employed"}) {
+    SCOPED_TRACE(sql);
+    auto result = RunQuery(sql, catalog_, options);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->plan.algorithm, AlgorithmKind::kPartitioned);
+    ASSERT_NE(result->profile, nullptr);
+    const obs::SpanNode* aggregate = result->profile->Find("aggregate");
+    ASSERT_NE(aggregate, nullptr);
+    // One assemble span after the partitioned evaluations it zips.
+    const obs::SpanNode* assemble = Child(*aggregate, "assemble");
+    ASSERT_NE(assemble, nullptr);
+    EXPECT_EQ(aggregate->children.back().get(), assemble);
+    EXPECT_GE(assemble->duration_ns, 0);
+    EXPECT_GE(assemble->start_ns, aggregate->start_ns);
+    EXPECT_EQ(RowsAnnotation(*assemble),
+              static_cast<long>(result->rows.size()));
+    EXPECT_GT(result->rows.size(), 0u);
+  }
+}
+
+TEST_F(ExplainAnalyzeTest, ShardedRouteTimesRowAssemblyBesideTheScatter) {
+  shard::ShardedLiveService service;
+  ASSERT_TRUE(
+      service.RegisterIndex(catalog_, "employed", AggregateKind::kCount)
+          .ok());
+  ExecutorOptions options;
+  options.sharded_service = &service;
+  auto result = RunQuery("EXPLAIN ANALYZE SELECT COUNT(*) FROM employed",
+                         catalog_, options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->plan.algorithm, AlgorithmKind::kLiveIndex);
+  ASSERT_NE(result->profile, nullptr);
+  const obs::SpanNode* execute = result->profile->Find("execute");
+  ASSERT_NE(execute, nullptr);
+  ASSERT_NE(Child(*execute, "shard_scatter"), nullptr);
+  const obs::SpanNode* assemble = Child(*execute, "assemble");
+  ASSERT_NE(assemble, nullptr);
+  EXPECT_GE(assemble->duration_ns, 0);
+  EXPECT_EQ(RowsAnnotation(*assemble),
+            static_cast<long>(result->rows.size()));
+  EXPECT_EQ(result->rows.size(), 6u);  // Table 1 of the paper
+}
+
 // A query served from a columnar backing file: the pruned scan's phases
 // are children of the executor's column_scan span.
 class ExplainAnalyzeColumnScanTest : public ExplainAnalyzeTest {
@@ -206,6 +273,14 @@ TEST_F(ExplainAnalyzeColumnScanTest, ScanPhasesNestUnderColumnScan) {
     }
     EXPECT_TRUE(has_rows_decoded);
     EXPECT_EQ(rows_decoded.Value() - rows_before, rows);
+    // Row assembly is its own span beside the scan, not a scan phase.
+    const obs::SpanNode* execute = result->profile->Find("execute");
+    ASSERT_NE(execute, nullptr);
+    const obs::SpanNode* assemble = Child(*execute, "assemble");
+    ASSERT_NE(assemble, nullptr);
+    EXPECT_GE(assemble->start_ns, scan->start_ns + scan->duration_ns);
+    EXPECT_EQ(RowsAnnotation(*assemble),
+              static_cast<long>(result->rows.size()));
   }
 }
 
